@@ -15,7 +15,7 @@ z = PositionElement.zero()
 print("== field strength ==")
 cfg = GaugeConfig((z, x[0], z, z, z))
 strength = gauge.field_strength(cfg)
-print("A = (0, x0, 0, 0, 0):", strength.render())
+print("A = (0, x0, 0, 0, 0):", gauge.render_strength(strength))
 
 print()
 print("== two routes to the curvature ==")

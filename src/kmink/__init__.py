@@ -21,12 +21,11 @@ from .action import (
     act_derivative,
     act_f,
     act_f_lowered,
-    commute_right,
     word,
 )
 from .forms import OneForm, TwoForm, exterior_d
 from .dirac import Gamma4, GammaRep, GAMMA4_ZERO, build_dirac, clifford_image
-from .gauge import GaugeConfig, FieldStrength, field_strength, gauge_transform
+from .gauge import GaugeConfig, field_strength, gauge_transform
 from .expr import evaluate, evaluate_text, parse, render, render_value
 
 __version__ = "0.1.0"
@@ -37,9 +36,9 @@ __all__ = [
     "MomentumElement", "MomentumTensor", "METRIC5",
     "f_matrix", "f_lowered", "derivatives", "vector_fields", "box",
     "HeisenbergElement", "act", "act_derivative", "act_f", "act_f_lowered",
-    "word", "commute_right",
+    "word",
     "OneForm", "TwoForm", "exterior_d",
     "Gamma4", "GammaRep", "GAMMA4_ZERO", "build_dirac", "clifford_image",
-    "GaugeConfig", "FieldStrength", "field_strength", "gauge_transform",
+    "GaugeConfig", "field_strength", "gauge_transform",
     "parse", "render", "evaluate", "evaluate_text", "render_value",
 ]

@@ -23,8 +23,9 @@ from functools import lru_cache
 from math import comb
 
 from . import momentum as mom
-from .minkowski import PositionElement, _acc, _mono_lmul
+from .minkowski import KEY_UNIT, PositionElement, _mono_lmul
 from .scalars import I, ONE, ScalarValue
+from .terms import TermMap, accumulate
 
 MOM_UNIT = ((0, 0, 0), 0, 0)
 
@@ -47,7 +48,7 @@ def _pass_momentum(momkey, poskey):
             coeff = ScalarValue.number(comb(t, r)) * (shift ** (t - r)) * ew
             for p2, m2, c2 in _pass_momentum((b, d, 0), (a, r, w)):
                 key = (p2, (m2[0], m2[1], m2[2] + lam))
-                _acc(out, key, c2 * coeff)
+                accumulate(out, key, c2 * coeff)
         return tuple((p, m, c) for (p, m), c in out.items())
     if d > 0:
         pieces = [((a, t, w), ((0, 0, 0), 1, 0), ONE)]
@@ -85,7 +86,7 @@ def _continue(rest, pieces):
     out = {}
     for pos1, mk1, c1 in pieces:
         if rest == MOM_UNIT:
-            _acc(out, (pos1, mk1), c1)
+            accumulate(out, (pos1, mk1), c1)
             continue
         for p2, m2, c2 in _pass_momentum(rest, pos1):
             key = (
@@ -96,7 +97,7 @@ def _continue(rest, pieces):
                     m2[2] + mk1[2],
                 ),
             )
-            _acc(out, key, c1 * c2)
+            accumulate(out, key, c1 * c2)
     return tuple((p, m, c) for (p, m), c in out.items())
 
 
@@ -112,7 +113,7 @@ def act(p, a):
             c = cp * ca
             for p2, m2, c2 in _pass_momentum(momkey, poskey):
                 if m2[0] == (0, 0, 0) and m2[1] == 0:
-                    _acc(out, p2, c * c2)
+                    accumulate(out, p2, c * c2)
     return PositionElement(out)
 
 
@@ -131,13 +132,12 @@ def act_f_lowered(i, j, a):
     return act(mom.f_lowered()[i][j], a)
 
 
-class HeisenbergElement:
+class HeisenbergElement(TermMap):
     """Normal-ordered mixed word: position part left, momentum part right."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    UNIT = (KEY_UNIT, MOM_UNIT)
 
     @staticmethod
     def from_position(a):
@@ -145,48 +145,22 @@ class HeisenbergElement:
 
     @staticmethod
     def from_momentum(p):
-        from .minkowski import KEY_UNIT
-
         return HeisenbergElement({(KEY_UNIT, k): c for k, c in p.terms.items()})
 
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, HeisenbergElement):
-            return x
+    @classmethod
+    def _coerce(cls, x):
         if isinstance(x, PositionElement):
-            return HeisenbergElement.from_position(x)
+            return cls.from_position(x)
         if isinstance(x, mom.MomentumElement):
-            return HeisenbergElement.from_momentum(x)
-        if isinstance(x, (int, ScalarValue)):
-            return HeisenbergElement.from_position(PositionElement.scalar(x))
-        raise TypeError(f"cannot interpret {type(x).__name__} as a mixed word")
+            return cls.from_momentum(x)
+        return super()._coerce(x)
 
-    def __add__(self, other):
-        other = HeisenbergElement.coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return HeisenbergElement(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-HeisenbergElement.coerce(other))
-
-    def __rsub__(self, other):
-        return HeisenbergElement.coerce(other) - self
-
-    def __neg__(self):
-        return HeisenbergElement({k: -c for k, c in self.terms.items()})
-
-    def scale(self, s):
-        s = ScalarValue._coerce(s)
-        if s.is_zero():
-            return HeisenbergElement()
-        out = {}
-        for key, c in self.terms.items():
-            _acc(out, key, c * s)
-        return HeisenbergElement(out)
+    @classmethod
+    def coerce(cls, x):
+        out = cls._coerce(x)
+        if out is NotImplemented:
+            raise TypeError(f"cannot interpret {type(x).__name__} as a mixed word")
+        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, ScalarValue)):
@@ -205,7 +179,7 @@ class HeisenbergElement:
                         mmid[2] + m2[2],
                     )
                     for pk, cpos in _mono_lmul(p1, {pmid: ONE}).items():
-                        _acc(out, (pk, mk), cc * cpos)
+                        accumulate(out, (pk, mk), cc * cpos)
         return HeisenbergElement(out)
 
     def __rmul__(self, other):
@@ -225,41 +199,22 @@ class HeisenbergElement:
             acc = acc + (PositionElement({p: ONE}) * acted).scale(c)
         return acc
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (PositionElement, mom.MomentumElement, int, ScalarValue)):
-            other = HeisenbergElement.coerce(other)
-        if not isinstance(other, HeisenbergElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (p, m) in sorted(
+    def _render_order(self):
+        return sorted(
             self.terms, key=lambda k: (k[0][0], k[0][1], k[0][2].render(), k[1])
-        ):
-            c = self.terms[(p, m)]
-            ptext = PositionElement({p: ONE}).render()
-            mtext = mom.MomentumElement({m: ONE}).render()
-            parts.append(f"({c.render()}) * [{ptext}] * [{mtext}]")
-        return " + ".join(parts)
+        )
 
-    def __repr__(self):
-        return f"<HeisenbergElement {self.render()}>"
+    def _render_term(self, key, c):
+        p, m = key
+        ptext = PositionElement({p: ONE}).render()
+        mtext = mom.MomentumElement({m: ONE}).render()
+        return f"({c.render()}) * [{ptext}] * [{mtext}]"
 
 
 def word(*factors):
     """Normal-order a product of position/momentum factors left to right."""
-    acc = HeisenbergElement.coerce(PositionElement.one())
+    acc = HeisenbergElement.one()
     for f in factors:
         acc = acc * HeisenbergElement.coerce(f)
     return acc
 
-
-def commute_right(*factors):
-    """Alias for `word`: rewrite a mixed word into its normal form."""
-    return word(*factors)

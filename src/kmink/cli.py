@@ -8,7 +8,6 @@
                  [--gamma4 zero|unit:<lam>|gamma5:<lam>] [--json PATH]
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage or parse error.
-KMINK_THREADS caps suite concurrency.
 """
 
 from __future__ import annotations
@@ -84,8 +83,19 @@ def _cmd_verify(args):
 def _load_gauge_config(path):
     from . import gauge
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return gauge.read_config_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from None
+    return gauge.read_config_text(text)
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _eval_unitary(text):
@@ -101,7 +111,7 @@ def _cmd_gauge(args):
     cfg = _load_gauge_config(args.config)
     if args.gauge_verb == "fstrength":
         strength = gauge.field_strength(cfg, charged=args.charged)
-        print(strength.render())
+        print(gauge.render_strength(strength))
         return 0
     if args.gauge_verb == "transform":
         new_cfg = gauge.gauge_transform(cfg, _eval_unitary(args.unitary))
@@ -168,7 +178,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=list(suites.SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=2)
     p.add_argument("--gamma4", default="zero")
     p.add_argument("--json", default=None, help="write line-delimited records here")
     p.set_defaults(func=_cmd_verify)

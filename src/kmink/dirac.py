@@ -42,7 +42,31 @@ def _zeros():
     return tuple(tuple(ZERO for _ in range(DIM)) for _ in range(DIM))
 
 
-def mat_mul(a, b):
+# -- 4x4 matrices of scalars or momentum elements -------------------------------
+
+
+def op_zero():
+    return tuple(tuple(MomentumElement.zero() for _ in range(DIM)) for _ in range(DIM))
+
+
+def op_from_matrix(mat, p):
+    """mat (x) p: scale a momentum element into a constant matrix."""
+    return tuple(tuple(p.scale(mat[r][c]) for c in range(DIM)) for r in range(DIM))
+
+
+def op_add(a, b):
+    return tuple(tuple(a[r][c] + b[r][c] for c in range(DIM)) for r in range(DIM))
+
+
+def op_sub(a, b):
+    return tuple(tuple(a[r][c] - b[r][c] for c in range(DIM)) for r in range(DIM))
+
+
+def op_scale(a, s):
+    return tuple(tuple(a[r][c] * s for c in range(DIM)) for r in range(DIM))
+
+
+def op_mul(a, b):
     out = []
     for r in range(DIM):
         row = []
@@ -55,16 +79,8 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_add(a, b):
-    return tuple(tuple(a[r][c] + b[r][c] for c in range(DIM)) for r in range(DIM))
-
-
-def mat_scale(a, s):
-    return tuple(tuple(a[r][c] * s for c in range(DIM)) for r in range(DIM))
-
-
-def mat_is_zero(a):
-    return all(v.is_zero() for row in a for v in row)
+def op_is_zero(a):
+    return all(p.is_zero() for row in a for p in row)
 
 
 _i = ScalarValue.number(0, 1)
@@ -76,7 +92,7 @@ GAMMA2 = tuple(
     for row in [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
 )
 GAMMA3 = _mat([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
-GAMMA5 = mat_scale(mat_mul(mat_mul(GAMMA0, GAMMA1), mat_mul(GAMMA2, GAMMA3)), _i)
+GAMMA5 = op_scale(op_mul(op_mul(GAMMA0, GAMMA1), op_mul(GAMMA2, GAMMA3)), _i)
 ID4 = _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 ZERO4 = _zeros()
 
@@ -92,9 +108,9 @@ class Gamma4:
         if self.kind == "zero":
             return ZERO4
         if self.kind == "unit":
-            return mat_scale(ID4, self.coeff)
+            return op_scale(ID4, self.coeff)
         if self.kind == "gamma5":
-            return mat_scale(GAMMA5, self.coeff)
+            return op_scale(GAMMA5, self.coeff)
         raise ValueError(f"unknown gamma4 kind {self.kind!r}")
 
 
@@ -120,55 +136,18 @@ def check_clifford_relations():
     failures = []
     for mu in range(4):
         for nu in range(4):
-            anti = mat_add(mat_mul(gams[mu], gams[nu]), mat_mul(gams[nu], gams[mu]))
-            want = mat_scale(ID4, ScalarValue.number(2 * METRIC5[mu] if mu == nu else 0))
-            if not mat_is_zero(mat_add(anti, mat_scale(want, ScalarValue.number(-1)))):
+            anti = op_add(op_mul(gams[mu], gams[nu]), op_mul(gams[nu], gams[mu]))
+            want = op_scale(ID4, ScalarValue.number(2 * METRIC5[mu] if mu == nu else 0))
+            if not op_is_zero(op_sub(anti, want)):
                 failures.append((mu, nu))
     for mu in range(4):
-        anti = mat_add(mat_mul(GAMMA5, gams[mu]), mat_mul(gams[mu], GAMMA5))
-        if not mat_is_zero(anti):
+        anti = op_add(op_mul(GAMMA5, gams[mu]), op_mul(gams[mu], GAMMA5))
+        if not op_is_zero(anti):
             failures.append(("gamma5", mu))
-    sq = mat_add(mat_mul(GAMMA5, GAMMA5), mat_scale(ID4, ScalarValue.number(-1)))
-    if not mat_is_zero(sq):
+    sq = op_sub(op_mul(GAMMA5, GAMMA5), ID4)
+    if not op_is_zero(sq):
         failures.append(("gamma5", "square"))
     return failures
-
-
-# -- matrix-of-momentum operators ----------------------------------------------
-
-
-def op_zero():
-    return tuple(tuple(MomentumElement.zero() for _ in range(DIM)) for _ in range(DIM))
-
-
-def op_from_matrix(mat, p):
-    """mat (x) p: scale a momentum element into a constant matrix."""
-    return tuple(tuple(p.scale(mat[r][c]) for c in range(DIM)) for r in range(DIM))
-
-
-def op_add(a, b):
-    return tuple(tuple(a[r][c] + b[r][c] for c in range(DIM)) for r in range(DIM))
-
-
-def op_sub(a, b):
-    return tuple(tuple(a[r][c] - b[r][c] for c in range(DIM)) for r in range(DIM))
-
-
-def op_mul(a, b):
-    out = []
-    for r in range(DIM):
-        row = []
-        for c in range(DIM):
-            acc = a[r][0] * b[0][c]
-            for k in range(1, DIM):
-                acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def op_is_zero(a):
-    return all(p.is_zero() for row in a for p in row)
 
 
 def op_render(a):

@@ -166,6 +166,8 @@ def _lex(text):
             if j < n and text[j] == "i" and not (j + 1 < n and text[j + 1].isalnum()):
                 imag = True
                 j += 1
+            if den is not None and int(den) == 0:
+                raise ExprError("zero denominator in a number", i)
             value = Fraction(int(num), int(den) if den else 1)
             tokens.append(("NUM", (value, imag), i))
             i = j
@@ -201,11 +203,17 @@ _PLAIN = {"kappa", "box", "x0", "x1", "x2", "x3", "P0", "P1", "P2", "P3"}
 _UNARY_FUNCS = {"star": Star, "d": ExtD}
 _BINARY_FUNCS = {"wedge": Wedge, "act": Act}
 
+# Deepest nesting of brackets, calls and unary minus that parse accepts; it
+# keeps the recursive parser, renderer and evaluator well inside Python's
+# recursion limit.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -228,12 +236,20 @@ class _Parser:
             raise ExprError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return node
 
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels",
+                            self.peek()[2])
+
     def expr(self):
+        self.enter()
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             right = self.term()
             node = Add(node, right) if op == "+" else Sub(node, right)
+        self.depth -= 1
         return node
 
     def term(self):
@@ -246,7 +262,10 @@ class _Parser:
     def factor(self):
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.factor())
+            self.enter()
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -520,15 +539,8 @@ def _pow(a, n):
     if n < 0:
         raise EvalError("negative powers need a scalar base")
     if isinstance(a, (mom.MomentumElement, PositionElement, HeisenbergElement)):
-        return a ** n if not isinstance(a, HeisenbergElement) else _hpow(a, n)
+        return a ** n
     raise EvalError(f"cannot raise {type(a).__name__} to a power")
-
-
-def _hpow(a, n):
-    acc = HeisenbergElement.coerce(PositionElement.one())
-    for _ in range(n):
-        acc = acc * a
-    return acc
 
 
 def _star(a):
@@ -583,12 +595,8 @@ def _promote_pair(a, b):
 
 
 def _lift_scalar(s, like):
-    if isinstance(like, mom.MomentumElement):
-        return mom.MomentumElement.scalar(s)
-    if isinstance(like, PositionElement):
-        return PositionElement.scalar(s)
-    if isinstance(like, HeisenbergElement):
-        return HeisenbergElement.coerce(s)
+    if isinstance(like, (mom.MomentumElement, PositionElement, HeisenbergElement)):
+        return type(like).scalar(s)
     raise EvalError(f"cannot combine a scalar with {type(like).__name__}")
 
 

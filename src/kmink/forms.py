@@ -18,6 +18,7 @@ from .action import act_derivative, act_f
 from .minkowski import PositionElement
 from .momentum import METRIC5
 from .scalars import I, ScalarValue
+from .terms import TermMap, accumulate
 
 IMK = I * ScalarValue.kappa(-1)
 
@@ -124,84 +125,40 @@ class OneForm:
         return f"<OneForm {self.render()}>"
 
 
-class TwoForm:
-    """Strictly upper-triangular components over tau^i ^ tau^j, i < j."""
+class TwoForm(TermMap):
+    """Strictly upper-triangular components over tau^i ^ tau^j, i < j:
+    `terms` maps (i, j) to a nonzero PositionElement."""
 
-    __slots__ = ("comp",)
-
-    def __init__(self, comp=None):
-        self.comp = comp if comp is not None else {}
+    __slots__ = ()
 
     def add_component(self, i, j, value):
         """Fold a coefficient on tau^i ^ tau^j into canonical i < j storage."""
         if i == j or value.is_zero():
             return self
-        out = dict(self.comp)
         key, v = ((i, j), value) if i < j else ((j, i), -value)
-        cur = out.get(key, PositionElement.zero()) + v
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
+        out = dict(self.terms)
+        accumulate(out, key, v)
         return TwoForm(out)
 
     def component(self, i, j):
         if i < j:
-            return self.comp.get((i, j), PositionElement.zero())
+            return self.terms.get((i, j), PositionElement.zero())
         if i > j:
-            return -self.comp.get((j, i), PositionElement.zero())
+            return -self.terms.get((j, i), PositionElement.zero())
         return PositionElement.zero()
 
-    def __add__(self, other):
-        out = self
-        for (i, j), v in other.comp.items():
-            out = out.add_component(i, j, v)
-        return out
+    def raised(self, i, j):
+        """The (i, j) component with both indices moved by the 5-metric."""
+        return self.component(i, j).scale(METRIC5[i] * METRIC5[j])
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TwoForm({k: -v for k, v in self.comp.items()})
-
-    def scale(self, s):
-        out = TwoForm()
-        for (i, j), v in self.comp.items():
-            out = out.add_component(i, j, v.scale(s))
-        return out
-
-    def is_zero(self):
-        return not self.comp
-
-    def __eq__(self, other):
-        return self.comp == other.comp
-
-    def render(self):
-        parts = []
-        for (i, j) in sorted(self.comp):
-            parts.append(f"({self.comp[(i, j)].render()}) * tau[{i}]^tau[{j}]")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<TwoForm {self.render()}>"
+    def _render_term(self, key, c):
+        i, j = key
+        return f"({c.render()}) * tau[{i}]^tau[{j}]"
 
 
 def exterior_d(a):
     """d a = del_i(a) tau^i."""
     return OneForm([act_derivative(i, a) for i in range(5)])
-
-
-def exterior_d2(omega):
-    """d on one-forms, landing in two-forms."""
-    return omega.exterior_d()
-
-
-def star_form(omega):
-    return omega.star()
-
-
-def wedge(omega, eta):
-    return omega.wedge(eta)
 
 
 def metric_form_components():

@@ -77,6 +77,3 @@ def rand_spinor(rng, max_degree):
 def rand_oneform(rng, max_degree):
     return OneForm([rand_position(rng, max_degree, n_terms=1) for _ in range(5)])
 
-
-def rand_unitary(rng):
-    return PositionElement.wave(PlaneWave.label(WAVE_LABELS[rng.randrange(2)]))

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
-from .forms import OneForm
+from .forms import OneForm, TwoForm
 from .minkowski import PositionElement
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
+from .terms import accumulate
 
 
 @dataclass(frozen=True)
@@ -89,57 +90,27 @@ def _require_unitary(u):
         raise ValueError("gauge transformations need a unitary element")
 
 
-class FieldStrength:
-    """Antisymmetric strength tensor, components stored for i < j."""
-
-    __slots__ = ("comp",)
-
-    def __init__(self, comp=None):
-        self.comp = comp if comp is not None else {}
-
-    def get(self, i, j):
-        if i < j:
-            return self.comp.get((i, j), PositionElement.zero())
-        if i > j:
-            return -self.comp.get((j, i), PositionElement.zero())
-        return PositionElement.zero()
-
-    def raised(self, i, j):
-        """F^{ij} with both indices moved by the 5-metric."""
-        return self.get(i, j).scale(METRIC5[i] * METRIC5[j])
-
-    def set(self, i, j, value):
-        if i >= j:
-            raise ValueError("store only i < j components")
-        if value.is_zero():
-            self.comp.pop((i, j), None)
-        else:
-            self.comp[(i, j)] = value
-
-    def is_zero(self):
-        return not self.comp
-
-    def __eq__(self, other):
-        return self.comp == other.comp
-
-    def render(self):
-        if not self.comp:
-            return "0"
-        return "; ".join(
-            f"F[{i},{j}] = {v.render()}" for (i, j), v in sorted(self.comp.items())
-        )
+def render_strength(strength):
+    """`F[i,j] = ...` for each stored i < j component of a strength
+    two-form, joined by `; `."""
+    if strength.is_zero():
+        return "0"
+    return "; ".join(
+        f"F[{i},{j}] = {v.render()}" for (i, j), v in sorted(strength.terms.items())
+    )
 
 
 def field_strength(cfg, charged=False):
     """F_ij = del_i(A_j) - del_j(A_i) + i [g] A_k [f^k_i(A_j) - f^k_j(A_i)].
 
     `charged=False` is the published convention (no charge in the
-    quadratic term); `charged=True` inserts it.
+    quadratic term); `charged=True` inserts it.  Returns the TwoForm with
+    components F_ij, i < j.
     """
     A = cfg.A
     quad_factor = I * cfg.g if charged else I
     dA = [[act_derivative(i, A[j]) for j in range(5)] for i in range(5)]
-    out = FieldStrength()
+    out = {}
     for i in range(5):
         for j in range(i + 1, 5):
             val = dA[i][j] - dA[j][i]
@@ -147,8 +118,8 @@ def field_strength(cfg, charged=False):
                 inner = act_f(k, i, A[j]) - act_f(k, j, A[i])
                 if not inner.is_zero():
                     val = val + (A[k] * inner).scale(quad_factor)
-            out.set(i, j, val)
-    return out
+            accumulate(out, (i, j), val)
+    return TwoForm(out)
 
 
 def curvature_form(cfg):
@@ -159,10 +130,7 @@ def curvature_form(cfg):
 
 def extract_strength(two_form):
     """Components from i F_ij tau^i ^ tau^j = Omega with the i<j sum."""
-    out = FieldStrength()
-    for (i, j), v in two_form.comp.items():
-        out.set(i, j, v.scale(-I))
-    return out
+    return two_form.scale(-I)
 
 
 def curvature_cross_check(cfg):
@@ -178,10 +146,10 @@ def curvature_cross_check(cfg):
     res_literal = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            d1 = omega_f.get(i, j) - charged.get(i, j)
+            d1 = omega_f.component(i, j) - charged.component(i, j)
             if not d1.is_zero():
                 res_charged[(i, j)] = d1
-            d2 = omega_f.get(i, j) - literal.get(i, j)
+            d2 = omega_f.component(i, j) - literal.component(i, j)
             if not d2.is_zero():
                 res_literal[(i, j)] = d2
     return res_charged, res_literal
@@ -216,14 +184,14 @@ def check_f_covariance(cfg, u, charged=False):
             rhs = PositionElement.zero()
             for k in range(5):
                 for l in range(5):
-                    fk = f_old.get(k, l)
+                    fk = f_old.component(k, l)
                     if fk.is_zero():
                         continue
                     acted = act_f(k, i, act_f(l, j, ustar))
                     if acted.is_zero():
                         continue
                     rhs = rhs + u * fk * acted
-            diff = f_new.get(i, j) - rhs
+            diff = f_new.component(i, j) - rhs
             if not diff.is_zero():
                 residuals[(i, j)] = diff
     return residuals
@@ -272,7 +240,7 @@ def check_commutator_identity(cfg, i, j):
     rhs = HeisenbergElement()
     for m in range(5):
         for n in range(5):
-            fmn = strength.get(m, n)
+            fmn = strength.component(m, n)
             if fmn.is_zero():
                 continue
             rhs = rhs + (
@@ -360,7 +328,7 @@ def invariants(cfg, charged=False):
     c_minus = PositionElement.zero()
     for i in range(5):
         for j in range(5):
-            f_low = strength.get(i, j)
+            f_low = strength.component(i, j)
             if f_low.is_zero():
                 continue
             f_up = strength.raised(i, j)
@@ -436,12 +404,7 @@ def _classical_mul(a, b):
             if not (w1.is_identity() and w2.is_identity()):
                 raise ValueError("classical calculus needs polynomial elements")
             key = ((a1[0] + a2[0], a1[1] + a2[1], a1[2] + a2[2]), d1 + d2, w1)
-            cur = out.get(key)
-            v = c1 * c2 if cur is None else cur + c1 * c2
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            accumulate(out, key, c1 * c2)
     return PositionElement(out)
 
 

@@ -22,6 +22,7 @@ No infinite series ever appears.
 from __future__ import annotations
 
 from .scalars import I, ONE, ZERO, ScalarValue
+from .terms import TensorSquare, TermMap, accumulate
 
 IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
 
@@ -120,15 +121,6 @@ def _merge_time(t1, t2):
     return tuple(sorted(acc.items()))
 
 
-def _acc(out, key, coeff):
-    v = out.get(key)
-    v = coeff if v is None else v + coeff
-    if v.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = v
-
-
 # -- left multiplication by single canonical factors -------------------------
 # Each takes and returns a term dict {(a, d, W): ScalarValue}.
 
@@ -136,10 +128,10 @@ def _acc(out, key, coeff):
 def _lmul_x0(terms):
     out = {}
     for (a, d, w), c in terms.items():
-        _acc(out, (a, d + 1, w), c)
+        accumulate(out, (a, d + 1, w), c)
         na = a[0] + a[1] + a[2]
         if na:
-            _acc(out, (a, d, w), c * ScalarValue.number(na) * IMK)
+            accumulate(out, (a, d, w), c * ScalarValue.number(na) * IMK)
     return out
 
 
@@ -148,7 +140,7 @@ def _lmul_xm(m, terms):
     for (a, d, w), c in terms.items():
         na = list(a)
         na[m - 1] += 1
-        _acc(out, (tuple(na), d, w), c)
+        accumulate(out, (tuple(na), d, w), c)
     return out
 
 
@@ -163,7 +155,7 @@ def _lmul_time_exp(time, terms):
         na = a[0] + a[1] + a[2]
         coeff = c * probe.e_power(-na) if na else c
         spatial = tuple(ek_inv * s for s in w.spatial)
-        _acc(out, (a, d, PlaneWave(spatial, _merge_time(time, w.time))), coeff)
+        accumulate(out, (a, d, PlaneWave(spatial, _merge_time(time, w.time))), coeff)
     return out
 
 
@@ -185,11 +177,11 @@ def _lmul_spatial_exp(q, terms):
                 if qk[m - 1].is_zero():
                     continue
                 for key, cc in _lmul_xm(m, cur).items():
-                    _acc(nxt, key, cc * qk[m - 1])
+                    accumulate(nxt, key, cc * qk[m - 1])
             cur = nxt
         for (a2, d2, w2), cc in cur.items():
             key = ((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2)
-            _acc(out, key, cc)
+            accumulate(out, key, cc)
     return out
 
 
@@ -206,33 +198,19 @@ def _mono_lmul(key, terms):
     if a != (0, 0, 0):
         out = {}
         for (a2, d2, w2), c in cur.items():
-            _acc(out, ((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2), c)
+            accumulate(out, ((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2), c)
         cur = out
     return cur
 
 
-class PositionElement:
+class PositionElement(TermMap):
     """Normal-ordered element of the kappa-Minkowski algebra."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    UNIT = KEY_UNIT
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return PositionElement()
-
-    @staticmethod
-    def one():
-        return PositionElement({KEY_UNIT: ONE})
-
-    @staticmethod
-    def scalar(s):
-        s = ScalarValue._coerce(s)
-        return PositionElement({KEY_UNIT: s} if not s.is_zero() else {})
 
     @staticmethod
     def x(mu):
@@ -257,61 +235,16 @@ class PositionElement:
 
     # -- algebra -------------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce_position(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return PositionElement(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_position(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_position(other) - self
-
-    def __neg__(self):
-        return PositionElement({k: -c for k, c in self.terms.items()})
-
-    def scale(self, s):
-        s = ScalarValue._coerce(s)
-        if s.is_zero():
-            return PositionElement()
-        out = {}
-        for key, c in self.terms.items():
-            _acc(out, key, c * s)
-        return PositionElement(out)
-
     def __mul__(self, other):
         if isinstance(other, PositionElement):
             out = {}
             for key, c in self.terms.items():
                 for key2, c2 in _mono_lmul(key, other.terms).items():
-                    _acc(out, key2, c * c2)
+                    accumulate(out, key2, c * c2)
             return PositionElement(out)
         if isinstance(other, (int, ScalarValue)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("position elements only take nonnegative powers")
-        acc = PositionElement.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def star(self):
         """Antilinear antihomomorphism fixing the generators x^mu."""
@@ -362,75 +295,30 @@ class PositionElement:
 
     # -- inspection ----------------------------------------------------------
 
-    def map_coeffs(self, fn):
-        out = {}
-        for key, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[key] = v
-        return PositionElement(out)
-
     def degree(self):
         return max((a[0] + a[1] + a[2] + d for (a, d, _w) in self.terms), default=0)
 
     def has_waves(self):
         return any(not w.is_identity() for (_a, _d, w) in self.terms)
 
-    def is_zero(self):
-        return not self.terms
+    def _render_order(self):
+        return sorted(self.terms, key=lambda k: (k[0], k[1], k[2].time, k[2].render()))
 
-    def __eq__(self, other):
-        other = _coerce_position(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, d, w) in sorted(
-            self.terms, key=lambda k: (k[0], k[1], k[2].time, k[2].render())
-        ):
-            c = self.terms[(a, d, w)]
-            factors = []
-            for m in (1, 2, 3):
-                if a[m - 1] == 1:
-                    factors.append(f"x{m}")
-                elif a[m - 1]:
-                    factors.append(f"x{m}^{a[m-1]}")
-            if d == 1:
-                factors.append("x0")
-            elif d:
-                factors.append(f"x0^{d}")
-            if not w.is_identity():
-                factors.append(w.render())
-            ctext = c.render()
-            if not factors:
-                parts.append(f"({ctext})" if ("+" in ctext or " - " in ctext) else ctext)
-            else:
-                mono = " * ".join(factors)
-                if c == ONE:
-                    parts.append(mono)
-                elif ("+" in ctext) or (" - " in ctext):
-                    parts.append(f"({ctext}) * {mono}")
-                else:
-                    parts.append(f"{ctext} * {mono}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<PositionElement {self.render()}>"
-
-
-def _coerce_position(x):
-    if isinstance(x, PositionElement):
-        return x
-    if isinstance(x, (int, ScalarValue)):
-        return PositionElement.scalar(x)
-    return NotImplemented
+    def _factors(self, key):
+        a, d, w = key
+        factors = []
+        for m in (1, 2, 3):
+            if a[m - 1] == 1:
+                factors.append(f"x{m}")
+            elif a[m - 1]:
+                factors.append(f"x{m}^{a[m-1]}")
+        if d == 1:
+            factors.append("x0")
+        elif d:
+            factors.append(f"x0^{d}")
+        if not w.is_identity():
+            factors.append(w.render())
+        return factors
 
 
 def _primitive_power_tensor(gen, n):
@@ -449,33 +337,12 @@ def _power_key(key, n):
     return ((a[0] * n, a[1] * n, a[2] * n), d * n, W_IDENTITY)
 
 
-class PositionTensor:
+class PositionTensor(TensorSquare):
     """Element of the tensor square with componentwise product."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def outer(a, b):
-        out = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                _acc(out, (k1, k2), c1 * c2)
-        return PositionTensor(out)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return PositionTensor(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PositionTensor({k: -c for k, c in self.terms.items()})
+    ELEMENT = PositionElement
 
     def __mul__(self, other):
         out = {}
@@ -486,7 +353,7 @@ class PositionTensor:
                 c = c1 * c2
                 for kl, cl in left.items():
                     for kr, cr in right.items():
-                        _acc(out, (kl, kr), c * cl * cr)
+                        accumulate(out, (kl, kr), c * cl * cr)
         return PositionTensor(out)
 
     def left_counit(self):
@@ -494,34 +361,8 @@ class PositionTensor:
         out = {}
         for (l, r), c in self.terms.items():
             if l == KEY_UNIT:
-                _acc(out, r, c)
+                accumulate(out, r, c)
         return PositionElement(out)
 
-    def multiply_legs(self, fn_left=None):
-        """m o (fn_left (x) id): transform left legs, then multiply out."""
-        acc = PositionElement()
-        for (l, r), c in self.terms.items():
-            left = PositionElement({l: ONE})
-            if fn_left is not None:
-                left = fn_left(left)
-            acc = acc + (left * PositionElement({r: ONE})).scale(c)
-        return acc
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (l, r), c in self.terms.items():
-            lt = PositionElement({l: ONE}).render()
-            rt = PositionElement({r: ONE}).render()
-            parts.append(f"({c.render()}) * ({lt}) (x) ({rt})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<PositionTensor {self.render()}>"
+    def _render_order(self):
+        return self.terms  # plane waves have no order: keep insertion order

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue
+from .terms import TensorSquare, TermMap, accumulate
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -33,38 +34,14 @@ METRIC5 = (1, -1, -1, -1, -1)
 KEY_UNIT = ((0, 0, 0), 0, 0)
 
 
-def _acc(out, key, coeff):
-    v = out.get(key)
-    v = coeff if v is None else v + coeff
-    if v.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = v
-
-
-class MomentumElement:
+class MomentumElement(TermMap):
     """Element of the commutative momentum algebra."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-        self._hash = None
+    UNIT = KEY_UNIT
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return MomentumElement()
-
-    @staticmethod
-    def one():
-        return MomentumElement({KEY_UNIT: ONE})
-
-    @staticmethod
-    def scalar(s):
-        s = ScalarValue._coerce(s)
-        return MomentumElement({KEY_UNIT: s} if not s.is_zero() else {})
 
     @staticmethod
     def P(mu):
@@ -90,38 +67,6 @@ class MomentumElement:
 
     # -- ring --------------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce_momentum(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return MomentumElement(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_momentum(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_momentum(other) - self
-
-    def __neg__(self):
-        return MomentumElement({k: -c for k, c in self.terms.items()})
-
-    def scale(self, s):
-        s = ScalarValue._coerce(s)
-        if s.is_zero():
-            return MomentumElement()
-        out = {}
-        for key, c in self.terms.items():
-            _acc(out, key, c * s)
-        return MomentumElement(out)
-
     def __mul__(self, other):
         if isinstance(other, MomentumElement):
             out = {}
@@ -132,22 +77,11 @@ class MomentumElement:
                         d1 + d2,
                         l1 + l2,
                     )
-                    _acc(out, key, c1 * c2)
+                    accumulate(out, key, c1 * c2)
             return MomentumElement(out)
         if isinstance(other, (int, ScalarValue)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        acc = MomentumElement.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     # -- Hopf structure ------------------------------------------------------
 
@@ -172,7 +106,7 @@ class MomentumElement:
         for (b, d, lam), c in self.terms.items():
             nb = b[0] + b[1] + b[2]
             sign = -1 if (nb + d) % 2 else 1
-            _acc(out, (b, d, nb - lam), c * ScalarValue.number(sign))
+            accumulate(out, (b, d, nb - lam), c * ScalarValue.number(sign))
         return MomentumElement(out)
 
     def counit(self):
@@ -203,84 +137,30 @@ class MomentumElement:
                 mono = ScalarValue({(kap, ks, es): g})
                 if lam == 0:
                     if kap >= -order:
-                        _acc(out, (b, d, 0), mono)
+                        accumulate(out, (b, d, 0), mono)
                     continue
                 for n in range(max(0, kap + order) + 1):
                     if kap - n < -order:
                         break
-                    fac = ScalarValue.number(Fraction(lam ** n, _factorial(n)))
-                    _acc(out, (b, d + n, 0), mono * fac * ScalarValue.kappa(-n))
+                    fac = ScalarValue.number(Fraction(lam ** n, factorial(n)))
+                    accumulate(out, (b, d + n, 0), mono * fac * ScalarValue.kappa(-n))
         return MomentumElement(out)
 
-    def map_coeffs(self, fn):
-        out = {}
-        for key, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[key] = v
-        return MomentumElement(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        other = _coerce_momentum(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (b, d, lam) in sorted(self.terms):
-            c = self.terms[(b, d, lam)]
-            factors = []
-            for m in (1, 2, 3):
-                if b[m - 1] == 1:
-                    factors.append(f"P{m}")
-                elif b[m - 1]:
-                    factors.append(f"P{m}^{b[m-1]}")
-            if d == 1:
-                factors.append("P0")
-            elif d:
-                factors.append(f"P0^{d}")
-            if lam:
-                factors.append(f"Exp[{lam}]")
-            ctext = c.render()
-            if not factors:
-                parts.append(f"({ctext})" if ("+" in ctext or " - " in ctext) else ctext)
-            else:
-                mono = " * ".join(factors)
-                if c == ONE:
-                    parts.append(mono)
-                elif ("+" in ctext) or (" - " in ctext):
-                    parts.append(f"({ctext}) * {mono}")
-                else:
-                    parts.append(f"{ctext} * {mono}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<MomentumElement {self.render()}>"
-
-
-def _factorial(n):
-    from math import factorial
-
-    return factorial(n)
-
-
-def _coerce_momentum(x):
-    if isinstance(x, MomentumElement):
-        return x
-    if isinstance(x, (int, ScalarValue)):
-        return MomentumElement.scalar(x)
-    return NotImplemented
+    def _factors(self, key):
+        b, d, lam = key
+        factors = []
+        for m in (1, 2, 3):
+            if b[m - 1] == 1:
+                factors.append(f"P{m}")
+            elif b[m - 1]:
+                factors.append(f"P{m}^{b[m-1]}")
+        if d == 1:
+            factors.append("P0")
+        elif d:
+            factors.append(f"P0^{d}")
+        if lam:
+            factors.append(f"Exp[{lam}]")
+        return factors
 
 
 def _coproduct_p0_power(d):
@@ -305,33 +185,12 @@ def _coproduct_pm_power(m, n):
     return MomentumTensor(out)
 
 
-class MomentumTensor:
+class MomentumTensor(TensorSquare):
     """Element of the tensor square of the momentum algebra."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def outer(a, b):
-        out = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                _acc(out, (k1, k2), c1 * c2)
-        return MomentumTensor(out)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return MomentumTensor(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MomentumTensor({k: -c for k, c in self.terms.items()})
+    ELEMENT = MomentumElement
 
     def __mul__(self, other):
         out = {}
@@ -347,13 +206,7 @@ class MomentumTensor:
                     dr1 + dr2,
                     lr1 + lr2,
                 )
-                _acc(out, (left, right), c1 * c2)
-        return MomentumTensor(out)
-
-    def flip(self):
-        out = {}
-        for (l, r), c in self.terms.items():
-            _acc(out, (r, l), c)
+                accumulate(out, (left, right), c1 * c2)
         return MomentumTensor(out)
 
     def coproduct_left(self):
@@ -361,7 +214,7 @@ class MomentumTensor:
         out = {}
         for (l, r), c in self.terms.items():
             for (l1, l2), c1 in MomentumElement({l: ONE}).coproduct().terms.items():
-                _acc(out, (l1, l2, r), c * c1)
+                accumulate(out, (l1, l2, r), c * c1)
         return out
 
     def coproduct_right(self):
@@ -369,38 +222,8 @@ class MomentumTensor:
         out = {}
         for (l, r), c in self.terms.items():
             for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items():
-                _acc(out, (l, r1, r2), c * c1)
+                accumulate(out, (l, r1, r2), c * c1)
         return out
-
-    def multiply_legs(self, fn_left=None):
-        """m o (fn_left (x) id)."""
-        acc = MomentumElement()
-        for (l, r), c in self.terms.items():
-            left = MomentumElement({l: ONE})
-            if fn_left is not None:
-                left = fn_left(left)
-            acc = acc + (left * MomentumElement({r: ONE})).scale(c)
-        return acc
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (l, r) in sorted(self.terms):
-            c = self.terms[(l, r)]
-            lt = MomentumElement({l: ONE}).render()
-            rt = MomentumElement({r: ONE}).render()
-            parts.append(f"({c.render()}) * ({lt}) (x) ({rt})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<MomentumTensor {self.render()}>"
 
 
 # -- named constants ----------------------------------------------------------
@@ -505,11 +328,6 @@ def box():
 
 def kronecker(i, j):
     return MomentumElement.one() if i == j else MomentumElement.zero()
-
-
-def build_constants():
-    """All named constants at once: (f-matrix, del[0..4], e[0..4], box)."""
-    return f_matrix(), derivatives(), vector_fields(), box()
 
 
 # -- verification -------------------------------------------------------------

@@ -7,17 +7,14 @@ in the published formulas, convention reconciliations and limit expansions.
 
 Suites are deterministic in (seed, max_degree, gamma4); records are
 order-normalized so the machine-readable output is byte-identical across
-runs.  Independent checks may execute concurrently (KMINK_THREADS).
-Wall times in the human table are amortized per suite; the JSON ledger
+runs.  Wall times in the human table are amortized per suite; the JSON ledger
 carries no timings at all.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -540,12 +537,12 @@ def suite_gauge(cfg):
     configs, unitaries = gauge_fixtures()
 
     strength = gauge.field_strength(configs[0])
-    ok = strength.get(0, 1) == PositionElement.one() and all(
-        strength.get(i, j).is_zero()
+    ok = strength.component(0, 1) == PositionElement.one() and all(
+        strength.component(i, j).is_zero()
         for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)
     )
     out.append(_record("gauge", "strength-linear-example", "3.8", ok,
-                       strength.render()))
+                       gauge.render_strength(strength)))
     out.append(_record("gauge", "strength-zero-config", "3.8",
                        gauge.field_strength(gauge.GaugeConfig((z,) * 5)).is_zero()))
     const_cfg = gauge.GaugeConfig(tuple(
@@ -674,16 +671,9 @@ def run_suite(name, cfg=None):
     else:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITE_NAMES)} or all")
-    threads = max(1, int(os.environ.get("KMINK_THREADS", "1") or "1"))
     records = []
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one, n, cfg) for n in names]
-            for fut in futures:
-                records.extend(fut.result())
-    else:
-        for n in names:
-            records.extend(_run_one(n, cfg))
+    for n in names:
+        records.extend(_run_one(n, cfg))
     records.sort(key=lambda r: (r.suite, r.check_id))
     return records
 

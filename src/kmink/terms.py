@@ -1,0 +1,207 @@
+"""Sparse term maps: the one container behind every algebra element.
+
+Each element of the construction is a finite sum `sum c * monomial`.  A
+term map stores it as a dict from a hashable monomial key to a nonzero
+coefficient; the empty dict is the canonical zero, so equality is dict
+equality.  Coefficients are ring values with `+`, `-`, `*` and
+`is_zero()`: ScalarValues for the algebras, PositionElements for
+two-forms.  Values are immutable; never mutate `terms` after
+construction.
+
+A subclass supplies its key layout (the `UNIT` key and how one monomial
+renders and orders), its own `__mul__` and its structure maps.
+"""
+
+from __future__ import annotations
+
+from .scalars import ONE, ScalarValue
+
+
+def accumulate(out, key, coeff):
+    """Add `coeff` to `out[key]` in place, dropping the key when the sum
+    vanishes; the single accumulate step of every term map."""
+    v = out.get(key)
+    v = coeff if v is None else v + coeff
+    if v.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = v
+
+
+class TermMap:
+    """Finite linear combination of monomial keys; see the module docstring."""
+
+    __slots__ = ("terms", "_hash")
+
+    # Key of the multiplicative unit; None for maps with no scalar embedding.
+    UNIT = None
+
+    def __init__(self, terms=None):
+        self.terms = terms if terms is not None else {}
+        self._hash = None
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def scalar(cls, s):
+        if cls.UNIT is None:
+            raise TypeError(f"{cls.__name__} has no unit to carry a scalar")
+        s = ScalarValue._coerce(s)
+        return cls({} if s.is_zero() else {cls.UNIT: s})
+
+    @classmethod
+    def one(cls):
+        return cls.scalar(ONE)
+
+    @classmethod
+    def _coerce(cls, x):
+        """`x` as an element of `cls`, or NotImplemented."""
+        if isinstance(x, cls):
+            return x
+        if cls.UNIT is not None and isinstance(x, (int, ScalarValue)):
+            return cls.scalar(x)
+        return NotImplemented
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self.__class__(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self.__class__({k: -c for k, c in self.terms.items()})
+
+    def scale(self, s):
+        """Multiply every coefficient by the scalar `s`."""
+        s = ScalarValue._coerce(s)
+        if s.is_zero():
+            return self.__class__()
+        out = {}
+        for key, c in self.terms.items():
+            accumulate(out, key, c * s)
+        return self.__class__(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, ScalarValue)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"{type(self).__name__} only takes nonnegative powers")
+        acc = self.one()
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def map_coeffs(self, fn):
+        """Apply `fn` to every coefficient, dropping those that vanish."""
+        out = {}
+        for key, c in self.terms.items():
+            v = fn(c)
+            if not v.is_zero():
+                out[key] = v
+        return self.__class__(out)
+
+    # -- comparison ----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+    # -- rendering -------------------------------------------------------------
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(self._render_term(key, self.terms[key])
+                          for key in self._render_order())
+
+    def _render_order(self):
+        return sorted(self.terms)
+
+    def _render_term(self, key, c):
+        """`c * f1 * f2 ...` over the monomial's factors: a unit coefficient
+        is dropped and a coefficient that is a sum is parenthesized."""
+        ctext = c.render()
+        if "+" in ctext or " - " in ctext:
+            ctext = f"({ctext})"
+        factors = self._factors(key)
+        if not factors:
+            return ctext
+        mono = " * ".join(factors)
+        return mono if c == ONE else f"{ctext} * {mono}"
+
+    def _factors(self, key):
+        """Rendered factors of one monomial, empty for the unit."""
+        raise NotImplementedError
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.render()}>"
+
+
+class TensorSquare(TermMap):
+    """Element of A (x) A for a term-map algebra A = `ELEMENT`, keyed by
+    pairs of A's monomial keys."""
+
+    __slots__ = ()
+
+    ELEMENT = None
+
+    @classmethod
+    def outer(cls, a, b):
+        out = {}
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
+                accumulate(out, (k1, k2), c1 * c2)
+        return cls(out)
+
+    def multiply_legs(self, fn_left=None):
+        """m o (fn_left (x) id): transform left legs, then multiply out."""
+        elem = self.ELEMENT
+        acc = elem()
+        for (l, r), c in self.terms.items():
+            left = elem({l: ONE})
+            if fn_left is not None:
+                left = fn_left(left)
+            acc = acc + (left * elem({r: ONE})).scale(c)
+        return acc
+
+    def _render_term(self, key, c):
+        l, r = key
+        lt = self.ELEMENT({l: ONE}).render()
+        rt = self.ELEMENT({r: ONE}).render()
+        return f"({c.render()}) * ({lt}) (x) ({rt})"

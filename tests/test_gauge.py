@@ -31,12 +31,12 @@ def test_from_potentials_pads_with_zeros():
 
 def test_field_strength_examples():
     strength = gauge.field_strength(CFG_LINEAR)
-    assert strength.get(0, 1) == PositionElement.one()
-    assert strength.get(1, 0) == -PositionElement.one()
+    assert strength.component(0, 1) == PositionElement.one()
+    assert strength.component(1, 0) == -PositionElement.one()
     for i in range(5):
         for j in range(i + 1, 5):
             if (i, j) != (0, 1):
-                assert strength.get(i, j).is_zero()
+                assert strength.component(i, j).is_zero()
     assert gauge.field_strength(gauge.GaugeConfig((Z,) * 5)).is_zero()
     const = gauge.GaugeConfig(tuple(PositionElement.scalar(n) for n in range(5)))
     assert gauge.field_strength(const).is_zero()
@@ -57,7 +57,7 @@ def test_curvature_zero_and_classical_components():
     assert gauge.curvature_form(gauge.GaugeConfig((Z,) * 5)).is_zero()
     omega = gauge.curvature_form(CFG_LINEAR)
     extracted = gauge.extract_strength(omega)
-    assert extracted.get(0, 1) == PositionElement.one()
+    assert extracted.component(0, 1) == PositionElement.one()
 
 
 def test_gauge_transform_identity():

@@ -57,6 +57,12 @@ def test_cli_parse_eval_and_errors():
     assert code == 2
     code, _, _ = run_cli("bogus-verb")
     assert code == 2
+    code, _, err = run_cli("eval", "1/0")
+    assert code == 2 and "zero denominator" in err
+    code, _, err = run_cli("eval", "(" * 3000 + "x0" + ")" * 3000)
+    assert code == 2 and "nested deeper" in err
+    code, _, err = run_cli("verify", "--suite", "limit", "--max-degree", "-3")
+    assert code == 2 and "nonnegative" in err
 
 
 def test_cli_act_and_d():
@@ -99,14 +105,6 @@ def test_main_entry_direct(capsys):
     assert main(["eval", "(x0"]) == 2
 
 
-def test_threaded_run_matches_sequential(monkeypatch):
-    cfg = suites.RunConfig(seed=5, max_degree=1)
-    sequential = suites.render_jsonl(suites.run_suite("all", cfg))
-    monkeypatch.setenv("KMINK_THREADS", "4")
-    threaded = suites.render_jsonl(suites.run_suite("all", cfg))
-    assert sequential == threaded
-
-
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     failing = [suites.CheckRecord("limit", "synthetic", "1.12", "fail", "residual")]
     monkeypatch.setattr(suites, "run_suite", lambda name, cfg=None: failing)
@@ -130,3 +128,6 @@ def test_gauge_cli_round_trip(tmp_path):
     bad.write_text("A7 = x0\n")
     code, _, err = run_cli("gauge", "fstrength", "--config", str(bad))
     assert code == 2 and "unknown field" in err
+    code, _, err = run_cli("gauge", "fstrength", "--config",
+                           str(tmp_path / "missing.kmg"))
+    assert code == 2 and "cannot read config" in err
