@@ -36,12 +36,12 @@ print("e[4]   =", e[4].render())
 print()
 print("== certified identity systems ==")
 records = verify_f_identities()
-bad = [r for r in records if r[2] != "0"]
+bad = [r for r in records if not r[2].is_zero()]
 print(f"orthogonality + coproduct systems: {len(records)} identities,"
       f" {len(bad)} failures")
 
 for name, eq, residual in verify_box_identities():
-    print(f"eq {eq}: {name}: residual = {residual}")
+    print(f"eq {eq}: {name}: residual = {residual.render()}")
 
 print()
 print("== the wave operator ==")

@@ -49,4 +49,5 @@ print()
 print("== the metric form is central ==")
 probe = x[1] * x[0] + x[2].scale(ScalarValue.number(Fraction(1, 2)))
 residual = check_metric_centrality(probe)
-print("s^2 a - a s^2 residual components:", residual if residual else "all zero")
+print("s^2 a - a s^2 residual components:",
+      "all zero" if residual.is_zero() else residual.render())

@@ -17,42 +17,42 @@ from kmink import (
     ScalarValue,
 )
 from kmink import dirac
+from kmink.terms import IndexedMap
 
 x = [PositionElement.x(mu) for mu in range(4)]
 
 print("== Clifford relations ==")
-print("failures:", dirac.check_clifford_relations())
+print("failures:", list(dirac.check_clifford_relations().terms))
 
 print()
 print("== D^2 against the wave operator ==")
 residual, asserted = dirac.check_dirac_square(GammaRep(GAMMA4_ZERO))
-print("gamma4 = 0:        D^2 - box * Id =",
-      "0" if dirac.op_is_zero(residual) else dirac.op_render(residual))
+print("gamma4 = 0:        D^2 - box * Id =", residual.render())
 for kind in ("unit", "gamma5"):
     rep = GammaRep(Gamma4(kind, ScalarValue.number(1)))
     residual, _ = dirac.check_dirac_square(rep)
-    top_left = residual[0][0].render()
+    top_left = residual.terms.get((0, 0), MomentumElement.zero()).render()
     print(f"gamma4 = {kind:6s}:   residual[0][0] = {top_left}  (reported only)")
 
 print()
 print("== the commutative square [D, a] psi = del_i(a) tau^i_c psi ==")
-psi = (x[2], PositionElement.zero(), x[1] * x[0], PositionElement.one())
+psi = IndexedMap({0: x[2], 2: x[1] * x[0], 3: PositionElement.one()})
 for kind, rep in (
     ("zero", GammaRep(GAMMA4_ZERO)),
     ("unit", GammaRep(Gamma4("unit", ScalarValue.number(1)))),
     ("gamma5", GammaRep(Gamma4("gamma5", ScalarValue.number(1)))),
 ):
     res = dirac.check_diagram(x[1] * x[0], psi, rep)
-    print(f"gamma4 = {kind:6s}: residual spinor zero? {dirac.spinor_is_zero(res)}")
+    print(f"gamma4 = {kind:6s}: residual spinor zero? {res.is_zero()}")
 
 print()
 print("== Clifford image of the basis forms ==")
 img = dirac.clifford_image(1, GammaRep(GAMMA4_ZERO))
-print("tau^1_c entries (row 0):", [img[0][c].render() for c in range(4)])
-limit = dirac.op_kappa_expand(img, 0)
+print("tau^1_c entries (row 0):",
+      [img.terms.get((0, c), MomentumElement.zero()).render() for c in range(4)])
+limit = img.map_coeffs(lambda p: p.kappa_expand(0))
 print("tau^1_c at kappa order 0 equals gamma^1?",
-      dirac.op_is_zero(dirac.op_sub(
-          limit, dirac.op_from_matrix(dirac.GAMMA1, MomentumElement.one()))))
+      limit == dirac.op_from_matrix(dirac.GAMMA1, MomentumElement.one()))
 
 print()
 print("== antihermiticity of the components ==")

@@ -75,8 +75,11 @@ def _cmd_verify(args):
     records = suites.run_suite(args.suite, cfg)
     print(suites.render_table(records))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(suites.render_jsonl(records))
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(suites.render_jsonl(records))
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json!r}: {exc.strerror}") from None
     return 1 if any(r.status == "fail" for r in records) else 0
 
 
@@ -134,17 +137,18 @@ def _cmd_gauge(args):
             ("invariant covariance (3.16)",
              gauge.check_invariant_covariance(cfg, u)),
         ):
-            ok = not residuals
+            ok = residuals.is_zero()
             failures += 0 if ok else 1
             mark = "PASS" if ok else "FAIL"
             print(f"[{mark}] U#{idx} {label}")
             if not ok:
-                for key, value in residuals.items():
+                for key, value in sorted(residuals.terms.items()):
                     print(f"       residual {key}: {value.render()}")
     res_charged, res_literal = gauge.curvature_cross_check(cfg)
-    print(f"[INFO] curvature two-route: charged-form residual "
-          f"{'empty' if not res_charged else res_charged}; literal-form residual "
-          f"{'empty' if not res_literal else 'nonzero (expected unless g = 1)'}")
+    charged_text = "empty" if res_charged.is_zero() else res_charged.render()
+    literal_text = "empty" if res_literal.is_zero() else "nonzero (expected unless g = 1)"
+    print(f"[INFO] curvature two-route: charged-form residual {charged_text}; "
+          f"literal-form residual {literal_text}")
     return 1 if failures else 0
 
 

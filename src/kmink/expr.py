@@ -361,6 +361,20 @@ def parse(text):
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW = 1, 2, 3, 4
 
+_INFIX = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def _chain(node):
+    """Unwind a left-associative `+`/`-` or `*` chain without recursing:
+    its leftmost operand and its links from left to right."""
+    kinds = (Mul,) if isinstance(node, Mul) else (Add, Sub)
+    links = []
+    while isinstance(node, kinds):
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
+
 
 def _prec(node):
     if isinstance(node, (Add, Sub)):
@@ -387,12 +401,12 @@ def render(node):
     if isinstance(node, WaveLit):
         inner = "; ".join(render(e) for e in node.spatial) + "; " + render(node.time)
         return "W{" + inner + "}"
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)} * {_wrap(node.right, _PREC_MUL + 1)}"
+    if isinstance(node, (Add, Sub, Mul)):
+        prec = _prec(node)
+        first, links = _chain(node)
+        return _wrap(first, prec) + "".join(
+            f" {_INFIX[type(link)]} {_wrap(link.right, prec + 1)}" for link in links
+        )
     if isinstance(node, Neg):
         return f"-{_wrap(node.value, _PREC_NEG)}"
     if isinstance(node, Pow):
@@ -434,12 +448,16 @@ def evaluate(node):
         return _eval_symbol(node)
     if isinstance(node, WaveLit):
         return _eval_wave(node)
-    if isinstance(node, Add):
-        return _add(evaluate(node.left), evaluate(node.right))
-    if isinstance(node, Sub):
-        return _add(evaluate(node.left), _neg(evaluate(node.right)))
-    if isinstance(node, Mul):
-        return _mul(evaluate(node.left), evaluate(node.right))
+    if isinstance(node, (Add, Sub, Mul)):
+        first, links = _chain(node)
+        acc = evaluate(first)
+        for link in links:
+            right = evaluate(link.right)
+            if isinstance(link, Mul):
+                acc = _mul(acc, right)
+            else:
+                acc = _add(acc, right if isinstance(link, Add) else _neg(right))
+        return acc
     if isinstance(node, Neg):
         return _neg(evaluate(node.value))
     if isinstance(node, Pow):

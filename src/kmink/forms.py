@@ -18,111 +18,65 @@ from .action import act_derivative, act_f
 from .minkowski import PositionElement
 from .momentum import METRIC5
 from .scalars import I, ScalarValue
-from .terms import TermMap, accumulate
-
-IMK = I * ScalarValue.kappa(-1)
+from .terms import IndexedMap, TermMap, accumulate
 
 
-class OneForm:
-    """Left-coefficient expansion sum_i comp[i] tau^i."""
+class OneForm(IndexedMap):
+    """Left-coefficient expansion sum_i a_i tau^i: `terms` maps i to a
+    nonzero PositionElement a_i."""
 
-    __slots__ = ("comp",)
-
-    def __init__(self, comp=None):
-        if comp is None:
-            comp = [PositionElement.zero() for _ in range(5)]
-        self.comp = tuple(comp)
+    __slots__ = ()
 
     @staticmethod
     def basis(i):
-        comp = [PositionElement.zero() for _ in range(5)]
-        comp[i] = PositionElement.one()
-        return OneForm(comp)
-
-    def __add__(self, other):
-        return OneForm([a + b for a, b in zip(self.comp, other.comp)])
-
-    def __sub__(self, other):
-        return OneForm([a - b for a, b in zip(self.comp, other.comp)])
-
-    def __neg__(self):
-        return OneForm([-a for a in self.comp])
-
-    def scale(self, s):
-        return OneForm([a.scale(s) for a in self.comp])
-
-    def left_mul(self, b):
-        """b * omega: plain left multiplication of the coefficients."""
-        return OneForm([b * a for a in self.comp])
+        return OneForm({i: PositionElement.one()})
 
     def right_mul(self, b):
         """omega * b = (a_i f^i_j(b)) tau^j via the f-action."""
-        out = [PositionElement.zero() for _ in range(5)]
-        for i in range(5):
-            if self.comp[i].is_zero():
-                continue
+        out = {}
+        for i, a in self.terms.items():
             for j in range(5):
                 fb = act_f(i, j, b)
                 if not fb.is_zero():
-                    out[j] = out[j] + self.comp[i] * fb
+                    accumulate(out, j, a * fb)
         return OneForm(out)
 
     def star(self):
         """(a_i tau^i)* = f^i_j(a_i*) tau^j; the tau^i are hermitian."""
-        out = [PositionElement.zero() for _ in range(5)]
-        for i in range(5):
-            if self.comp[i].is_zero():
-                continue
-            astar = self.comp[i].star()
+        out = {}
+        for i, a in self.terms.items():
+            astar = a.star()
             for j in range(5):
                 fb = act_f(i, j, astar)
                 if not fb.is_zero():
-                    out[j] = out[j] + fb
+                    accumulate(out, j, fb)
         return OneForm(out)
 
     def wedge(self, other):
         """(a_i tau^i) ^ (b_j tau^j) = a_i f^i_k(b_j) tau^k ^ tau^j."""
         out = TwoForm()
-        for j in range(5):
-            if other.comp[j].is_zero():
-                continue
-            for i in range(5):
-                if self.comp[i].is_zero():
-                    continue
+        for j, b in other.terms.items():
+            for i, a in self.terms.items():
                 for k in range(5):
-                    fb = act_f(i, k, other.comp[j])
+                    fb = act_f(i, k, b)
                     if not fb.is_zero():
-                        out = out.add_component(k, j, self.comp[i] * fb)
+                        out = out.add_component(k, j, a * fb)
         return out
 
     def exterior_d(self):
         """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0."""
         out = TwoForm()
-        for i in range(5):
-            if self.comp[i].is_zero():
-                continue
+        for i, a in self.terms.items():
             for j in range(5):
-                da = act_derivative(j, self.comp[i])
+                da = act_derivative(j, a)
                 if not da.is_zero():
                     out = out.add_component(j, i, da)
         return out
 
-    def is_zero(self):
-        return all(a.is_zero() for a in self.comp)
+    render = TermMap.render  # a ` + ` sum of terms, not a `key: value` list
 
-    def __eq__(self, other):
-        return self.comp == other.comp
-
-    def render(self):
-        parts = []
-        for i in range(5):
-            if self.comp[i].is_zero():
-                continue
-            parts.append(f"({self.comp[i].render()}) * tau[{i}]")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<OneForm {self.render()}>"
+    def _render_term(self, i, c):
+        return f"({c.render()}) * tau[{i}]"
 
 
 class TwoForm(TermMap):
@@ -158,35 +112,27 @@ class TwoForm(TermMap):
 
 def exterior_d(a):
     """d a = del_i(a) tau^i."""
-    return OneForm([act_derivative(i, a) for i in range(5)])
-
-
-def metric_form_components():
-    """s^2 = tau_mu (x) tau^mu - tau^4 (x) tau^4: diag(1,-1,-1,-1,-1)."""
-    return {(i, i): METRIC5[i] for i in range(5)}
+    return OneForm.collect((i, act_derivative(i, a)) for i in range(5))
 
 
 def check_metric_centrality(a):
-    """Residual tensor of s^2 a - a s^2, commuting a through both legs.
+    """Residual tensor of s^2 a - a s^2, commuting a through both legs,
+    keyed by (l, k).
 
     (tau^i (x) tau^j) a = f^i_l(f^j_k(a)) tau^l (x) tau^k, so the (l, k)
     component of s^2 a is sum_i METRIC5[i] f^i_l(f^i_k(a)).
     """
-    residual = {}
+    out = {}
     for l in range(5):
         for k in range(5):
-            acc = PositionElement.zero()
             for i in range(5):
                 inner = act_f(i, k, a)
                 if not inner.is_zero():
                     outer = act_f(i, l, inner)
                     if not outer.is_zero():
-                        acc = acc + outer.scale(METRIC5[i])
-            expect = a.scale(METRIC5[l]) if l == k else PositionElement.zero()
-            acc = acc - expect
-            if not acc.is_zero():
-                residual[(l, k)] = acc
-    return residual
+                        accumulate(out, (l, k), outer.scale(METRIC5[i]))
+    a_s2 = IndexedMap.collect(((l, l), a.scale(METRIC5[l])) for l in range(5))
+    return IndexedMap(out) - a_s2
 
 
 def tau4_candidate(c):

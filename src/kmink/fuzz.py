@@ -13,6 +13,7 @@ from .forms import OneForm
 from .minkowski import PlaneWave, PositionElement, W_IDENTITY
 from .momentum import MomentumElement
 from .scalars import ScalarValue
+from .terms import IndexedMap
 
 COEFFS = (
     ScalarValue.number(1),
@@ -71,9 +72,11 @@ def rand_momentum(rng, max_degree, n_terms=3):
 
 
 def rand_spinor(rng, max_degree):
-    return tuple(rand_position(rng, max_degree, n_terms=1) for _ in range(4))
+    return IndexedMap.collect((r, rand_position(rng, max_degree, n_terms=1))
+                              for r in range(4))
 
 
 def rand_oneform(rng, max_degree):
-    return OneForm([rand_position(rng, max_degree, n_terms=1) for _ in range(5)])
+    return OneForm.collect((i, rand_position(rng, max_degree, n_terms=1))
+                           for i in range(5))
 

@@ -23,7 +23,7 @@ from .forms import OneForm, TwoForm
 from .minkowski import PositionElement
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
-from .terms import accumulate
+from .terms import IndexedMap, accumulate
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class GaugeConfig:
 
     def connection_form(self):
         """omega = i A_k tau^k."""
-        return OneForm([a.scale(I) for a in self.A])
+        return OneForm.collect((k, a.scale(I)) for k, a in enumerate(self.A))
 
 
 def read_config_text(text):
@@ -136,23 +136,12 @@ def extract_strength(two_form):
 def curvature_cross_check(cfg):
     """Compare the Omega route against both strength conventions.
 
-    Returns (residual vs charged, residual vs literal) as dicts keyed by
-    (i, j); the charged residual is identically empty for any g.
+    Returns (residual vs charged, residual vs literal) as TwoForms; the
+    charged residual is identically zero for any g.
     """
     omega_f = extract_strength(curvature_form(cfg))
-    charged = field_strength(cfg, charged=True)
-    literal = field_strength(cfg, charged=False)
-    res_charged = {}
-    res_literal = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            d1 = omega_f.component(i, j) - charged.component(i, j)
-            if not d1.is_zero():
-                res_charged[(i, j)] = d1
-            d2 = omega_f.component(i, j) - literal.component(i, j)
-            if not d2.is_zero():
-                res_literal[(i, j)] = d2
-    return res_charged, res_literal
+    return (omega_f - field_strength(cfg, charged=True),
+            omega_f - field_strength(cfg, charged=False))
 
 
 def gauge_transform(cfg, u):
@@ -173,15 +162,14 @@ def gauge_transform(cfg, u):
 
 
 def check_f_covariance(cfg, u, charged=False):
-    """Residuals of F~_ij = U F_kl f^k_i(f^l_j(U*)), per (i, j)."""
+    """Residual TwoForm of F~_ij = U F_kl f^k_i(f^l_j(U*))."""
     _require_unitary(u)
     ustar = u.star()
     f_old = field_strength(cfg, charged=charged)
     f_new = field_strength(gauge_transform(cfg, u), charged=charged)
-    residuals = {}
+    rhs = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            rhs = PositionElement.zero()
             for k in range(5):
                 for l in range(5):
                     fk = f_old.component(k, l)
@@ -190,11 +178,8 @@ def check_f_covariance(cfg, u, charged=False):
                     acted = act_f(k, i, act_f(l, j, ustar))
                     if acted.is_zero():
                         continue
-                    rhs = rhs + u * fk * acted
-            diff = f_new.component(i, j) - rhs
-            if not diff.is_zero():
-                residuals[(i, j)] = diff
-    return residuals
+                    accumulate(rhs, (i, j), u * fk * acted)
+    return f_new - TwoForm(rhs)
 
 
 # -- covariant derivatives as mixed-word operators ------------------------------
@@ -216,9 +201,7 @@ def covariant_derivative_op(cfg, k, charged=True):
 
 
 def apply_covariant_derivative(cfg, k, a):
-    """nabla_k acting on an algebra element (componentwise on spinors)."""
-    if isinstance(a, tuple):
-        return tuple(apply_covariant_derivative(cfg, k, comp) for comp in a)
+    """nabla_k acting on an algebra element."""
     out = act_derivative(k, a)
     for j in range(5):
         if cfg.A[j].is_zero():
@@ -265,9 +248,9 @@ def check_bianchi(cfg, i, j, k):
 
 def divergence(cfg, charged=False):
     """nabla_m F^{mk} = del_m F^{mk} + i g (A_j f^j_m(F^{mk})
-    - F^{mn} f_m^j(f_n^k(A_j))), one element per k."""
+    - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k."""
     strength = field_strength(cfg, charged=charged)
-    out = []
+    out = {}
     for k in range(5):
         acc = PositionElement.zero()
         for m in range(5):
@@ -293,30 +276,23 @@ def divergence(cfg, charged=False):
                     if acted.is_zero():
                         continue
                     correction = correction - fmn * acted
-        out.append(acc + correction.scale(I * cfg.g))
-    return tuple(out)
+        accumulate(out, k, acc + correction.scale(I * cfg.g))
+    return IndexedMap(out)
 
 
 def check_divergence_covariance(cfg, u, charged=False):
-    """Residuals of nabla~_m F~^{mk} = U nabla_m F^{mn} f_n^k(U*)."""
+    """Residual, keyed by k, of nabla~_m F~^{mk} = U nabla_m F^{mn} f_n^k(U*)."""
     _require_unitary(u)
     ustar = u.star()
     div_old = divergence(cfg, charged=charged)
     div_new = divergence(gauge_transform(cfg, u), charged=charged)
-    residuals = {}
+    rhs = {}
     for k in range(5):
-        rhs = PositionElement.zero()
-        for n in range(5):
-            if div_old[n].is_zero():
-                continue
+        for n, div_n in div_old.terms.items():
             acted = act_f_lowered(n, k, ustar)
-            if acted.is_zero():
-                continue
-            rhs = rhs + u * div_old[n] * acted
-        diff = div_new[k] - rhs
-        if not diff.is_zero():
-            residuals[k] = diff
-    return residuals
+            if not acted.is_zero():
+                accumulate(rhs, k, u * div_n * acted)
+    return div_new - IndexedMap(rhs)
 
 
 def invariants(cfg, charged=False):
@@ -348,31 +324,27 @@ def invariants(cfg, charged=False):
 
 
 def check_invariant_covariance(cfg, u, charged=False):
-    """Residuals of C~ = U C U* and C~_pm = U C_pm U*, plus C_- - C_+*."""
+    """Residuals of C~ = U C U* and C~_pm = U C_pm U*, plus C_- - C_+*,
+    keyed by name."""
     _require_unitary(u)
     old = invariants(cfg, charged=charged)
     new = invariants(gauge_transform(cfg, u), charged=charged)
-    residuals = {}
-    for name, o, n in zip(("C", "C_plus", "C_minus"), old, new):
-        diff = n - (u * o * u.star())
-        if not diff.is_zero():
-            residuals[name] = diff
-    conj_diff = old[2] - old[1].star()
-    if not conj_diff.is_zero():
-        residuals["C_minus - star(C_plus)"] = conj_diff
-    return residuals
+    items = [(name, n - (u * o * u.star()))
+             for name, o, n in zip(("C", "C_plus", "C_minus"), old, new)]
+    items.append(("C_minus - star(C_plus)", old[2] - old[1].star()))
+    return IndexedMap.collect(items)
 
 
 def check_star_collapse(u):
-    """sum_ij f_k^i(f_l^j(U*)) f_i^u(f_j^v(U)) = delta_k^u delta_l^v."""
+    """Residual, keyed by (k, l, u, v), of
+    sum_ij f_k^i(f_l^j(U*)) f_i^u(f_j^v(U)) = delta_k^u delta_l^v."""
     _require_unitary(u)
     ustar = u.star()
-    residuals = {}
+    out = {}
     for k in range(5):
         for l in range(5):
             for uu in range(5):
                 for v in range(5):
-                    acc = PositionElement.zero()
                     for i in range(5):
                         for j in range(5):
                             left = act_f_lowered(k, i, act_f_lowered(l, j, ustar))
@@ -381,16 +353,10 @@ def check_star_collapse(u):
                             right = act_f_lowered(i, uu, act_f_lowered(j, v, u))
                             if right.is_zero():
                                 continue
-                            acc = acc + left * right
-                    expect = (
-                        PositionElement.one()
-                        if (k == uu and l == v)
-                        else PositionElement.zero()
-                    )
-                    diff = acc - expect
-                    if not diff.is_zero():
-                        residuals[(k, l, uu, v)] = diff
-    return residuals
+                            accumulate(out, (k, l, uu, v), left * right)
+    one = PositionElement.one()
+    delta = IndexedMap({(k, l, k, l): one for k in range(5) for l in range(5)})
+    return IndexedMap(out) - delta
 
 
 # -- classical limit --------------------------------------------------------------

@@ -295,9 +295,6 @@ class PositionElement(TermMap):
 
     # -- inspection ----------------------------------------------------------
 
-    def degree(self):
-        return max((a[0] + a[1] + a[2] + d for (a, d, _w) in self.terms), default=0)
-
     def has_waves(self):
         return any(not w.is_identity() for (_a, _d, w) in self.terms)
 

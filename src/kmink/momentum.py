@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, accumulate
+from .terms import IndexedMap, TensorSquare, TermMap, accumulate
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -210,12 +210,13 @@ class MomentumTensor(TensorSquare):
         return MomentumTensor(out)
 
     def coproduct_left(self):
-        """(coproduct (x) id): a three-leg tensor as dict keyed by triples."""
+        """(coproduct (x) id): a three-leg tensor as an IndexedMap keyed by
+        triples of monomial keys."""
         out = {}
         for (l, r), c in self.terms.items():
             for (l1, l2), c1 in MomentumElement({l: ONE}).coproduct().terms.items():
                 accumulate(out, (l1, l2, r), c * c1)
-        return out
+        return IndexedMap(out)
 
     def coproduct_right(self):
         """(id (x) coproduct)."""
@@ -223,7 +224,7 @@ class MomentumTensor(TensorSquare):
         for (l, r), c in self.terms.items():
             for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items():
                 accumulate(out, (l, r1, r2), c * c1)
-        return out
+        return IndexedMap(out)
 
 
 # -- named constants ----------------------------------------------------------
@@ -336,8 +337,8 @@ def kronecker(i, j):
 def verify_f_identities():
     """Exact checks of the orthogonality and coproduct systems.
 
-    Returns a list of (identity id, equation tag, residual) with zero
-    residual rendered as "0"; 50 orthogonality cases plus 30 coproducts.
+    Returns a list of (identity id, equation tag, residual), 50
+    orthogonality cases plus 30 coproducts.
     """
     f = f_matrix()
     flow = f_lowered()
@@ -348,14 +349,14 @@ def verify_f_identities():
             for k in range(5):
                 acc = acc + flow[k][j] * f[k][i]
             res = acc - kronecker(i, j)
-            results.append((f"f_k^{j} f^k_{i} = delta", "1.25", res.render()))
+            results.append((f"f_k^{j} f^k_{i} = delta", "1.25", res))
     for j in range(5):
         for i in range(5):
             acc = MomentumElement.zero()
             for k in range(5):
                 acc = acc + f[j][k] * flow[i][k]
             res = acc - kronecker(i, j)
-            results.append((f"f^{j}_k f_{i}^k = delta", "1.26", res.render()))
+            results.append((f"f^{j}_k f_{i}^k = delta", "1.26", res))
     for i in range(5):
         for k in range(5):
             lhs = f[i][k].coproduct()
@@ -363,8 +364,7 @@ def verify_f_identities():
             for j in range(5):
                 rhs = rhs + MomentumTensor.outer(f[i][j], f[j][k])
             res = lhs - rhs
-            results.append((f"coproduct(f^{i}_{k}) = f^{i}_j (x) f^j_{k}", "1.23",
-                            res.render()))
+            results.append((f"coproduct(f^{i}_{k}) = f^{i}_j (x) f^j_{k}", "1.23", res))
     d = derivatives()
     for i in range(5):
         lhs = d[i].coproduct()
@@ -373,25 +373,27 @@ def verify_f_identities():
             rhs = rhs + MomentumTensor.outer(d[j], f[j][i])
         res = lhs - rhs
         results.append((f"coproduct(del_{i}) = 1 (x) del_{i} + del_j (x) f^j_{i}",
-                        "2.6", res.render()))
+                        "2.6", res))
     return results
 
 
 def verify_box_identities():
-    """box = kappa^2 + (e^4)^2 and del_0^2 - sum del_m^2 = box, exactly."""
+    """box = kappa^2 + (e^4)^2 and del_0^2 - sum del_m^2 = box, exactly,
+    as (identity id, equation tag, residual), plus the reported order-0
+    limit of box."""
     e = vector_fields()
     d = derivatives()
     results = []
     res1 = box() - MomentumElement.scalar(ScalarValue.kappa(2)) - e[4] * e[4]
-    results.append(("box = kappa^2 + (e^4)^2", "1.12", res1.render()))
+    results.append(("box = kappa^2 + (e^4)^2", "1.12", res1))
     acc = d[0] * d[0]
     for m in (1, 2, 3):
         acc = acc - d[m] * d[m]
     res2 = acc - box()
-    results.append(("del_0^2 - sum del_m^2 = box", "2.9", res2.render()))
+    results.append(("del_0^2 - sum del_m^2 = box", "2.9", res2))
     limit = box().kappa_expand(0)
     results.append(
         ("box at kappa order 0 (sign convention: -(P_0^2 - P^2))", "derived-convention",
-         limit.render())
+         limit)
     )
     return results

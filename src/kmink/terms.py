@@ -5,11 +5,15 @@ term map stores it as a dict from a hashable monomial key to a nonzero
 coefficient; the empty dict is the canonical zero, so equality is dict
 equality.  Coefficients are ring values with `+`, `-`, `*` and
 `is_zero()`: ScalarValues for the algebras, PositionElements for
-two-forms.  Values are immutable; never mutate `terms` after
+forms.  Values are immutable; never mutate `terms` after
 construction.
 
 A subclass supplies its key layout (the `UNIT` key and how one monomial
 renders and orders), its own `__mul__` and its structure maps.
+
+An `IndexedMap` is the same container over plain index keys (a row, a
+`(row, col)` pair, a name) whose coefficients are algebra elements or
+term maps: one-forms, spinors, 4x4 operators and families of residuals.
 """
 
 from __future__ import annotations
@@ -205,3 +209,28 @@ class TensorSquare(TermMap):
         lt = self.ELEMENT({l: ONE}).render()
         rt = self.ELEMENT({r: ONE}).render()
         return f"({c.render()}) * ({lt}) (x) ({rt})"
+
+
+class IndexedMap(TermMap):
+    """Family of nonzero algebra elements or term maps indexed by sortable
+    keys, rendered `key: value; ...`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def collect(cls, items):
+        """The sum of `(key, coeff)` pairs; zero coefficients drop out."""
+        out = {}
+        for key, c in items:
+            accumulate(out, key, c)
+        return cls(out)
+
+    def left_mul(self, b):
+        """Multiply every entry by `b` from the left."""
+        return self.map_coeffs(lambda c: b * c)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        return "; ".join(f"{key}: {self.terms[key].render()}"
+                         for key in self._render_order())

@@ -99,14 +99,14 @@ def test_f_matrix_closed_forms():
 
 
 def test_orthogonality_and_coproduct_systems():
-    failures = [r for r in mom.verify_f_identities() if r[2] != "0"]
+    failures = [r for r in mom.verify_f_identities() if not r[2].is_zero()]
     assert not failures
 
 
 def test_box_identities():
     records = mom.verify_box_identities()
-    assert records[0][2] == "0"  # box = kappa^2 + (e^4)^2
-    assert records[1][2] == "0"  # del_0^2 - sum del_m^2 = box
+    assert records[0][2].is_zero()  # box = kappa^2 + (e^4)^2
+    assert records[1][2].is_zero()  # del_0^2 - sum del_m^2 = box
 
 
 def test_derivatives_from_f():

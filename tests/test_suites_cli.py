@@ -1,11 +1,18 @@
 """Suite orchestration, report determinism and the command-line driver."""
 
 import json
+import random
 import subprocess
 import sys
 
-from kmink import suites
+from kmink import dirac, suites
+from kmink.action import word
 from kmink.cli import main
+from kmink.forms import OneForm
+from kmink.fuzz import rand_spinor
+from kmink.minkowski import PositionElement
+from kmink.momentum import MomentumElement
+from kmink.terms import IndexedMap
 
 
 def run_cli(*argv):
@@ -46,6 +53,26 @@ def test_records_sorted_and_tagged():
         assert r.equation
 
 
+def test_check_status_and_text_come_from_the_residual():
+    x0 = PositionElement.x(0)
+    tau0 = OneForm.basis(0)
+    residuals = [
+        x0,
+        tau0.left_mul(x0),
+        tau0.wedge(OneForm.basis(1)),
+        rand_spinor(random.Random(5), 1),
+        dirac.clifford_image(1, dirac.GammaRep(dirac.GAMMA4_ZERO)),
+        IndexedMap({"C": x0}),
+        word(x0, MomentumElement.P(0)),
+    ]
+    for value in residuals:
+        failed = suites._check("s", "id", "eq", value)
+        assert failed.status == "fail"
+        assert failed.residual == value.render() != "0"
+        passed = suites._check("s", "id", "eq", value - value)
+        assert (passed.status, passed.residual) == ("pass", "0")
+
+
 def test_cli_parse_eval_and_errors():
     code, out, _ = run_cli("parse", "x0 * x1 - x1 * x0")
     assert code == 0 and out.strip() == "x0 * x1 - x1 * x0"
@@ -63,6 +90,16 @@ def test_cli_parse_eval_and_errors():
     assert code == 2 and "nested deeper" in err
     code, _, err = run_cli("verify", "--suite", "limit", "--max-degree", "-3")
     assert code == 2 and "nonnegative" in err
+    code, _, err = run_cli("verify", "--suite", "limit", "--json", "/nonexistent/dir/x.jsonl")
+    assert code == 2 and "cannot write" in err
+    for n in (1000, 3000):
+        code, out, _ = run_cli("eval", " + ".join(["x0"] * n))
+        assert code == 0 and out.strip() == f"{n} * x0"
+    code, out, _ = run_cli("eval", " * ".join(["x1"] * 1000))
+    assert code == 0 and out.strip() == "x1^1000"
+    chain = " - ".join(["x0"] * 1000)
+    code, out, _ = run_cli("parse", chain)
+    assert code == 0 and out.strip() == chain
 
 
 def test_cli_act_and_d():

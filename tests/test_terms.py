@@ -4,8 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from kmink import dirac
 from kmink.action import word
-from kmink.fuzz import rand_momentum, rand_oneform, rand_position
+from kmink.fuzz import rand_momentum, rand_oneform, rand_position, rand_spinor
+from kmink.scalars import ScalarValue
 
 
 def _position(rng):
@@ -25,11 +27,28 @@ def _two_form(rng):
     return rand_oneform(rng, 1).wedge(rand_oneform(rng, 1))
 
 
+def _one_form(rng):
+    return rand_oneform(rng, 2)
+
+
+def _spinor(rng):
+    return rand_spinor(rng, 2)
+
+
+REPS = (dirac.GammaRep(dirac.GAMMA4_ZERO),
+        dirac.GammaRep(dirac.Gamma4("unit", ScalarValue.number(2))),
+        dirac.GammaRep(dirac.Gamma4("gamma5", ScalarValue.number(1))))
+
+
+def _dirac_operator(rng):
+    return dirac.clifford_image(rng.randrange(5), REPS[rng.randrange(len(REPS))])
+
+
 UNITAL = (_position, _momentum, _heisenberg)
 
 
 @st.composite
-def pairs(draw, makers=UNITAL + (_two_form,)):
+def pairs(draw, makers=UNITAL + (_two_form, _one_form, _spinor, _dirac_operator)):
     """Two values of one term-map class, drawn from the fuzz fixtures."""
     make = draw(st.sampled_from(makers))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
