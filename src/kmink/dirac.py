@@ -18,6 +18,7 @@ that variant is reported, not asserted.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .action import act, act_derivative
 from .momentum import (
@@ -138,8 +139,10 @@ def op_apply(op, psi):
     return IndexedMap(out)
 
 
+@lru_cache(maxsize=16)
 def build_dirac(rep):
-    """D = gamma^0 del_0 + .. + gamma^3 del_3 + gamma_4 del_4."""
+    """D = gamma^0 del_0 + .. + gamma^3 del_3 + gamma_4 del_4, built once
+    per representation."""
     d = derivatives()
     out = Matrix()
     for i, g in enumerate(rep.gammas):
@@ -147,8 +150,10 @@ def build_dirac(rep):
     return out
 
 
+@lru_cache(maxsize=64)
 def clifford_image(i, rep):
-    """tau^i_c = gamma^j f^i_j, the matrix operator representing tau^i."""
+    """tau^i_c = gamma^j f^i_j, the matrix operator representing tau^i,
+    built once per (i, representation)."""
     f = f_matrix()
     out = Matrix()
     for j, g in enumerate(rep.gammas):

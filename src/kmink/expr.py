@@ -519,9 +519,9 @@ def _eval_wave(node):
     for (kap, ks, es), c in t.terms.items():
         if kap or es or len(ks) != 1 or ks[0][1] != 1 or ks[0][0][1] != 0:
             raise EvalError("plane-wave time must be an integer combination of k[j,0]")
-        if c.im or c.re.denominator != 1:
+        if c.b or c.d != 1:
             raise EvalError("plane-wave time coefficients must be integers")
-        time.append((ks[0][0][0], int(c.re)))
+        time.append((ks[0][0][0], c.a))
     return PositionElement.wave(PlaneWave(tuple(spatial), tuple(sorted(time))))
 
 

@@ -122,11 +122,12 @@ def check_metric_centrality(a):
     (tau^i (x) tau^j) a = f^i_l(f^j_k(a)) tau^l (x) tau^k, so the (l, k)
     component of s^2 a is sum_i METRIC5[i] f^i_l(f^i_k(a)).
     """
+    inners = [[act_f(i, k, a) for i in range(5)] for k in range(5)]
     out = {}
     for l in range(5):
         for k in range(5):
             for i in range(5):
-                inner = act_f(i, k, a)
+                inner = inners[k][i]
                 if not inner.is_zero():
                     outer = act_f(i, l, inner)
                     if not outer.is_zero():

@@ -17,6 +17,7 @@ coincide at g = 1, where the covariance suite runs with zero residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
 from .forms import OneForm, TwoForm
@@ -100,12 +101,14 @@ def render_strength(strength):
     )
 
 
+@lru_cache(maxsize=64)
 def field_strength(cfg, charged=False):
     """F_ij = del_i(A_j) - del_j(A_i) + i [g] A_k [f^k_i(A_j) - f^k_j(A_i)].
 
     `charged=False` is the published convention (no charge in the
     quadratic term); `charged=True` inserts it.  Returns the TwoForm with
-    components F_ij, i < j.
+    components F_ij, i < j.  Memoised per (cfg, charged): the covariance
+    checks ask for the same strength several times.
     """
     A = cfg.A
     quad_factor = I * cfg.g if charged else I
@@ -144,8 +147,9 @@ def curvature_cross_check(cfg):
             omega_f - field_strength(cfg, charged=False))
 
 
+@lru_cache(maxsize=64)
 def gauge_transform(cfg, u):
-    """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*)."""
+    """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*).  Memoised per (cfg, u)."""
     _require_unitary(u)
     ustar = u.star()
     inv_g = cfg.g.inverse()
@@ -335,11 +339,19 @@ def check_invariant_covariance(cfg, u, charged=False):
     return IndexedMap.collect(items)
 
 
+def _nested_f_lowered(a):
+    """Table of f_k^i(f_l^j(a)), keyed by (k, l, i, j)."""
+    inner = [[act_f_lowered(l, j, a) for j in range(5)] for l in range(5)]
+    return {(k, l, i, j): act_f_lowered(k, i, inner[l][j])
+            for k in range(5) for l in range(5) for i in range(5) for j in range(5)}
+
+
 def check_star_collapse(u):
     """Residual, keyed by (k, l, u, v), of
     sum_ij f_k^i(f_l^j(U*)) f_i^u(f_j^v(U)) = delta_k^u delta_l^v."""
     _require_unitary(u)
-    ustar = u.star()
+    left = _nested_f_lowered(u.star())
+    right = _nested_f_lowered(u)
     out = {}
     for k in range(5):
         for l in range(5):
@@ -347,13 +359,13 @@ def check_star_collapse(u):
                 for v in range(5):
                     for i in range(5):
                         for j in range(5):
-                            left = act_f_lowered(k, i, act_f_lowered(l, j, ustar))
-                            if left.is_zero():
+                            lt = left[k, l, i, j]
+                            if lt.is_zero():
                                 continue
-                            right = act_f_lowered(i, uu, act_f_lowered(j, v, u))
-                            if right.is_zero():
+                            rt = right[i, j, uu, v]
+                            if rt.is_zero():
                                 continue
-                            accumulate(out, (k, l, uu, v), left * right)
+                            accumulate(out, (k, l, uu, v), lt * rt)
     one = PositionElement.one()
     delta = IndexedMap({(k, l, k, l): one for k in range(5) for l in range(5)})
     return IndexedMap(out) - delta

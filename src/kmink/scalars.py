@@ -17,76 +17,111 @@ Values are immutable and hashable; all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-
-
-_F0 = Fraction(0)
+from math import comb, factorial, gcd, lcm
 
 
 class GaussianRational:
-    """Complex number a + b*i with exact rational parts."""
+    """Complex number (a + b*i)/d with integer a, b and d.
 
-    __slots__ = ("re", "im")
+    The triple is kept canonical: d > 0, gcd(a, b, d) == 1, and zero is
+    (0, 0, 1), so equality and hashing compare the integers directly.  The
+    rational parts are read through the `re` and `im` properties.
+    """
 
-    def __init__(self, re=_F0, im=_F0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0):
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # Both parts are in lowest terms, so over their least common
+        # denominator the triple is already canonical.
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gaussian(self.a + other.a, self.b + other.b, d1)
+        return _gaussian(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gaussian(self.a - other.a, self.b - other.b, d1)
+        return _gaussian(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __mul__(self, other):
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         # purely real / purely imaginary fast paths dominate in practice
-        if not self.im:
-            if not other.im:
-                return GaussianRational(self.re * other.re)
-            return GaussianRational(self.re * other.re, self.re * other.im)
-        if not self.re:
-            if not other.re:
-                return GaussianRational(-self.im * other.im)
-            return GaussianRational(-self.im * other.im, self.im * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not b1:
+            return _gaussian(a1 * a2, a1 * b2, self.d * other.d)
+        if not a1:
+            return _gaussian(-b1 * b2, b1 * a2, self.d * other.d)
+        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.d)
 
     def conj(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.a, -self.b, self.d)
 
     def reciprocal(self):
-        n = self.re * self.re + self.im * self.im
+        a, b = self.a, self.b
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("reciprocal of zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(self.d * a, -self.d * b, n)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def render(self):
         """Grammar form: `3/2`, `-1i`, `(3/2 + 1i)`, `(3/2 - 1i)`."""
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
-        if self.re == 0:
+        if not self.a:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}i)"
+
+
+_new = object.__new__
+
+
+def _gaussian(a, b, d):
+    """(a + b*i)/d for d > 0, reduced to the canonical triple."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
 
 
 GR_ZERO = GaussianRational(0)

@@ -226,3 +226,15 @@ def test_transform_at_g2_still_covariant_in_charged_convention():
     assert gauge.check_f_covariance(cfg, U1, charged=True).is_zero()
     assert gauge.check_divergence_covariance(cfg, U1, charged=True).is_zero()
     assert gauge.check_invariant_covariance(cfg, U1, charged=True).is_zero()
+
+
+def test_strength_memo_tells_charges_apart():
+    """Configs with equal potentials and different g are different memo
+    keys: each charged strength equals a fresh, unmemoised computation."""
+    cfg_g1 = gauge.GaugeConfig((Z, X[1], Z, Z, Z))
+    cfg_g2 = gauge.GaugeConfig((Z, X[1], Z, Z, Z), ScalarValue.number(2))
+    first = gauge.field_strength(cfg_g1, charged=True)
+    second = gauge.field_strength(cfg_g2, charged=True)
+    assert first != second
+    assert first == gauge.field_strength.__wrapped__(cfg_g1, charged=True)
+    assert second == gauge.field_strength.__wrapped__(cfg_g2, charged=True)

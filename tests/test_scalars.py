@@ -1,6 +1,7 @@
 """Ring axioms and expansion rules for the exact coefficient ring."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +131,60 @@ def test_gaussian_rational_reciprocal():
     g = GaussianRational(Fraction(3), Fraction(-2))
     r = g.reciprocal()
     assert (g * r) == GaussianRational(1)
+
+
+# -- oracle: GaussianRational against a plain pair of Fractions ----------------
+
+PARTS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60))
+PAIRS = st.tuples(PARTS, PARTS)
+
+
+def pair_text(re, im):
+    """The grammar text of re + im*i, written out for the pair."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"({re} {'+' if im > 0 else '-'} {abs(im)}i)"
+
+
+def assert_matches(g, pair):
+    """`g` is canonical, holds the pair's value and renders as the pair."""
+    re, im = pair
+    assert g.d > 0
+    assert gcd(g.a, g.b, g.d) == 1
+    assert (g.a, g.b) == (re * g.d, im * g.d)
+    assert (g.re, g.im) == (re, im)
+    assert g.render() == pair_text(re, im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, PAIRS)
+def test_gaussian_rational_matches_fraction_pairs(p, q):
+    (pr, pi), (qr, qi) = p, q
+    x, y = GaussianRational(pr, pi), GaussianRational(qr, qi)
+    assert_matches(x, p)
+    assert_matches(x + y, (pr + qr, pi + qi))
+    assert_matches(x - y, (pr - qr, pi - qi))
+    assert_matches(x * y, (pr * qr - pi * qi, pr * qi + pi * qr))
+    assert_matches(-x, (-pr, -pi))
+    assert_matches(x.conj(), (pr, -pi))
+    norm = pr * pr + pi * pi
+    if norm:
+        assert_matches(x.reciprocal(), (pr / norm, -pi / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.reciprocal()
+    assert (x == y) == (p == q)
+    assert x.is_zero() == (p == (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIRS, PAIRS)
+def test_equal_gaussian_rationals_hash_equal(p, q):
+    x, y = GaussianRational(*p), GaussianRational(*q)
+    same = (x + y) - y
+    assert same == x
+    assert hash(same) == hash(x)
+    assert (x * y) - (y * x) == GaussianRational()
+    assert hash((x - x)) == hash(GaussianRational())
