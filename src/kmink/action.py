@@ -23,9 +23,9 @@ from functools import lru_cache
 from math import comb
 
 from . import momentum as mom
-from .minkowski import KEY_UNIT, PositionElement, _mono_lmul
+from .minkowski import KEY_UNIT, PositionElement, _mono_mul
 from .scalars import I, ONE, ScalarValue
-from .terms import TermMap, accumulate
+from .terms import TermMap, accumulate, share
 
 MOM_UNIT = ((0, 0, 0), 0, 0)
 
@@ -49,7 +49,7 @@ def _pass_momentum(momkey, poskey):
             for p2, m2, c2 in _pass_momentum((b, d, 0), (a, r, w)):
                 key = (p2, (m2[0], m2[1], m2[2] + lam))
                 accumulate(out, key, c2 * coeff)
-        return tuple((p, m, c) for (p, m), c in out.items())
+        return _shared_triples(out)
     if d > 0:
         pieces = [((a, t, w), ((0, 0, 0), 1, 0), ONE)]
         k0 = w.time_scalar()
@@ -79,7 +79,7 @@ def _pass_momentum(momkey, poskey):
                 if not qm.is_zero():
                     pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
             return _continue((tuple(nb), 0, 0), pieces)
-    return ((poskey, MOM_UNIT, ONE),)
+    return ((share(poskey), MOM_UNIT, ONE),)
 
 
 def _continue(rest, pieces):
@@ -98,7 +98,11 @@ def _continue(rest, pieces):
                 ),
             )
             accumulate(out, key, c1 * c2)
-    return tuple((p, m, c) for (p, m), c in out.items())
+    return _shared_triples(out)
+
+
+def _shared_triples(out):
+    return tuple((share(p), share(m), share(c)) for (p, m), c in out.items())
 
 
 def act(p, a):
@@ -108,13 +112,22 @@ def act(p, a):
     counit: any P power kills the term, exponential weights go to 1).
     """
     out = {}
-    for momkey, cp in p.terms.items():
-        for poskey, ca in a.terms.items():
-            c = cp * ca
-            for p2, m2, c2 in _pass_momentum(momkey, poskey):
-                if m2[0] == (0, 0, 0) and m2[1] == 0:
-                    accumulate(out, p2, c * c2)
+    for poskey, ca in a.terms.items():
+        for key, c in _act_monomial(p, poskey):
+            accumulate(out, key, ca * c)
     return PositionElement(out)
+
+
+@lru_cache(maxsize=200000)
+def _act_monomial(p, poskey):
+    """act(p, ·) on one position monomial, as a tuple of (key, ScalarValue)
+    pairs with shared keys and coefficients."""
+    out = {}
+    for momkey, cp in p.terms.items():
+        for p2, m2, c2 in _pass_momentum(momkey, poskey):
+            if m2[0] == (0, 0, 0) and m2[1] == 0:
+                accumulate(out, p2, cp * c2)
+    return tuple((share(k), share(c)) for k, c in out.items())
 
 
 def act_derivative(i, a):
@@ -178,7 +191,7 @@ class HeisenbergElement(TermMap):
                         mmid[1] + m2[1],
                         mmid[2] + m2[2],
                     )
-                    for pk, cpos in _mono_lmul(p1, {pmid: ONE}).items():
+                    for pk, cpos in _mono_mul(p1, pmid):
                         accumulate(out, (pk, mk), cc * cpos)
         return HeisenbergElement(out)
 

@@ -208,6 +208,10 @@ _BINARY_FUNCS = {"wedge": Wedge, "act": Act}
 # recursion limit.
 MAX_DEPTH = 100
 
+# Largest |exponent| that parse accepts: a power is evaluated as repeated
+# products, in time linear in the exponent.
+MAX_EXPONENT = 1000
+
 
 class _Parser:
     def __init__(self, text):
@@ -284,6 +288,9 @@ class _Parser:
         value, imag = tok[1]
         if imag or value.denominator != 1:
             raise ExprError("exponents must be integers", tok[2])
+        if abs(value) > MAX_EXPONENT:
+            raise ExprError(f"exponents must be at most {MAX_EXPONENT} in absolute value",
+                            tok[2])
         return -int(value) if neg else int(value)
 
     def atom(self):

@@ -250,9 +250,11 @@ def check_bianchi(cfg, i, j, k):
 # -- divergence and invariants ---------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def divergence(cfg, charged=False):
     """nabla_m F^{mk} = del_m F^{mk} + i g (A_j f^j_m(F^{mk})
-    - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k."""
+    - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k.  Memoised
+    per (cfg, charged), like `field_strength`."""
     strength = field_strength(cfg, charged=charged)
     out = {}
     for k in range(5):
@@ -299,9 +301,11 @@ def check_divergence_covariance(cfg, u, charged=False):
     return div_new - IndexedMap(rhs)
 
 
+@lru_cache(maxsize=64)
 def invariants(cfg, charged=False):
     """C = F^{ij} F*_ij, C_+ = F_ij f^i_k(f^j_l(F^{kl})),
-    C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*."""
+    C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per (cfg, charged), like
+    `field_strength`."""
     strength = field_strength(cfg, charged=charged)
     c = PositionElement.zero()
     c_plus = PositionElement.zero()

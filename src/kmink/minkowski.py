@@ -21,8 +21,11 @@ No infinite series ever appears.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 from .scalars import I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, accumulate
+from .terms import TensorSquare, TermMap, accumulate, share
 
 IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
 
@@ -135,6 +138,22 @@ def _lmul_x0(terms):
     return out
 
 
+def _lmul_x0_power(n, terms):
+    """Multiply from the left by (x^0)^n: x^0 x^a = x^a (x^0 + i|a|/kappa)
+    and x^0 meets no wave, so each term expands binomially."""
+    out = {}
+    for (a, d, w), c in terms.items():
+        na = a[0] + a[1] + a[2]
+        if not na:
+            accumulate(out, (a, d + n, w), c)
+            continue
+        shift = ScalarValue.number(na) * IMK
+        for r in range(n, -1, -1):
+            coeff = ScalarValue.number(comb(n, r)) * shift ** (n - r)
+            accumulate(out, (a, d + r, w), c * coeff)
+    return out
+
+
 def _lmul_xm(m, terms):
     out = {}
     for (a, d, w), c in terms.items():
@@ -185,22 +204,22 @@ def _lmul_spatial_exp(q, terms):
     return out
 
 
-def _mono_lmul(key, terms):
-    """Multiply the element `terms` from the left by the monomial `key`."""
-    a, d, w = key
-    cur = terms
+@lru_cache(maxsize=200000)
+def _mono_mul(key1, key2):
+    """Normal form of the monomial `key1` times the monomial `key2`, as a
+    tuple of (key, ScalarValue) pairs with shared keys and coefficients."""
+    a, d, w = key1
+    cur = {key2: ONE}
     if w.time:
         cur = _lmul_time_exp(w.time, cur)
     if any(not s.is_zero() for s in w.spatial):
         cur = _lmul_spatial_exp(w.spatial, cur)
-    for _ in range(d):
-        cur = _lmul_x0(cur)
-    if a != (0, 0, 0):
-        out = {}
-        for (a2, d2, w2), c in cur.items():
-            accumulate(out, ((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2), c)
-        cur = out
-    return cur
+    if d:
+        cur = _lmul_x0_power(d, cur)
+    return tuple(
+        (share(((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2)), share(c))
+        for (a2, d2, w2), c in cur.items()
+    )
 
 
 class PositionElement(TermMap):
@@ -239,8 +258,10 @@ class PositionElement(TermMap):
         if isinstance(other, PositionElement):
             out = {}
             for key, c in self.terms.items():
-                for key2, c2 in _mono_lmul(key, other.terms).items():
-                    accumulate(out, key2, c * c2)
+                for key2, c2 in other.terms.items():
+                    c12 = c * c2
+                    for key3, c3 in _mono_mul(key, key2):
+                        accumulate(out, key3, c12 * c3)
             return PositionElement(out)
         if isinstance(other, (int, ScalarValue)):
             return self.scale(other)
@@ -320,8 +341,6 @@ class PositionElement(TermMap):
 
 def _primitive_power_tensor(gen, n):
     """(gen (x) 1 + 1 (x) gen)^n expanded binomially (the summands commute)."""
-    from math import comb
-
     key = next(iter(gen.terms))
     out = {}
     for r in range(n + 1):
@@ -345,11 +364,10 @@ class PositionTensor(TensorSquare):
         out = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
-                left = _mono_lmul(l1, {l2: ONE})
-                right = _mono_lmul(r1, {r2: ONE})
+                right = _mono_mul(r1, r2)
                 c = c1 * c2
-                for kl, cl in left.items():
-                    for kr, cr in right.items():
+                for kl, cl in _mono_mul(l1, l2):
+                    for kr, cr in right:
                         accumulate(out, (kl, kr), c * cl * cr)
         return PositionTensor(out)
 

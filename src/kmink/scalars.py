@@ -139,6 +139,13 @@ def _merge_exponents(base, extra):
         return base
     if not base:
         return extra
+    if len(base) == 1 and len(extra) == 1:
+        (n1, e1), = base
+        (n2, e2), = extra
+        if n1 == n2:
+            e = e1 + e2
+            return ((n1, e),) if e else ()
+        return base + extra if n1 < n2 else extra + base
     acc = dict(base)
     for name, e in extra:
         v = acc.get(name, 0) + e
@@ -241,9 +248,10 @@ class ScalarValue:
         return ScalarValue({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = ScalarValue._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not ScalarValue:
+            other = ScalarValue._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if len(other.terms) == 1:
             (k2, c2), = other.terms.items()
             if k2 == KEY_ONE and c2 == GR_ONE:

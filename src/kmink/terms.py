@@ -21,6 +21,17 @@ from __future__ import annotations
 from .scalars import ONE, ScalarValue
 
 
+# Every value `share` has returned, keyed by (type, value); never evicted.
+_SHARED = {}
+
+
+def share(x):
+    """The first value equal to `x` (and of its type) passed here, stored if
+    new: the caches of normal forms keep each distinct immutable key and
+    coefficient once, however many entries hold it."""
+    return _SHARED.setdefault((type(x), x), x)
+
+
 def accumulate(out, key, coeff):
     """Add `coeff` to `out[key]` in place, dropping the key when the sum
     vanishes; the single accumulate step of every term map."""

@@ -230,11 +230,13 @@ def test_transform_at_g2_still_covariant_in_charged_convention():
 
 def test_strength_memo_tells_charges_apart():
     """Configs with equal potentials and different g are different memo
-    keys: each charged strength equals a fresh, unmemoised computation."""
-    cfg_g1 = gauge.GaugeConfig((Z, X[1], Z, Z, Z))
-    cfg_g2 = gauge.GaugeConfig((Z, X[1], Z, Z, Z), ScalarValue.number(2))
-    first = gauge.field_strength(cfg_g1, charged=True)
-    second = gauge.field_strength(cfg_g2, charged=True)
-    assert first != second
-    assert first == gauge.field_strength.__wrapped__(cfg_g1, charged=True)
-    assert second == gauge.field_strength.__wrapped__(cfg_g2, charged=True)
+    keys: each charged strength, divergence and invariant triple equals a
+    fresh, unmemoised computation."""
+    cfg_g1 = gauge.GaugeConfig((X[1], X[0], Z, Z, Z))
+    cfg_g2 = gauge.GaugeConfig((X[1], X[0], Z, Z, Z), ScalarValue.number(2))
+    for fn in (gauge.field_strength, gauge.divergence, gauge.invariants):
+        first = fn(cfg_g1, charged=True)
+        second = fn(cfg_g2, charged=True)
+        assert first != second
+        assert first == fn.__wrapped__(cfg_g1, charged=True)
+        assert second == fn.__wrapped__(cfg_g2, charged=True)

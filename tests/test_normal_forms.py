@@ -1,0 +1,144 @@
+"""Laws of the memoised normal forms, on values drawn with general
+Gaussian-rational coefficients, three wave labels and `W{...}` waves whose
+spatial entries carry E symbols."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from kmink import momentum as mom
+from kmink.action import HeisenbergElement, _act_monomial, _pass_momentum, act
+from kmink.minkowski import (
+    PlaneWave,
+    PositionElement,
+    W_IDENTITY,
+    _lmul_x0,
+    _lmul_x0_power,
+    _mono_mul,
+)
+from kmink.momentum import MomentumElement
+from kmink.scalars import ScalarValue
+from kmink.terms import share
+
+LABELS = (1, 2, 3)
+
+F = mom.f_matrix()
+PROBES = ([MomentumElement.P(mu) for mu in range(4)] + list(mom.derivatives())
+          + [F[0][0], F[0][4], F[4][0], F[1][0], F[4][4]])
+
+
+@st.composite
+def gaussians(draw):
+    """A nonzero (a + b i)/d with small integers a, b and d."""
+    a, b = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+                .filter(lambda ab: ab != (0, 0)))
+    d = draw(st.integers(1, 12))
+    return ScalarValue.number(Fraction(a, d), Fraction(b, d))
+
+
+@st.composite
+def spatial_entries(draw):
+    """0, or c * E[j]^p * k[l,m]: a momentum entry after rescaling."""
+    if draw(st.booleans()):
+        return ScalarValue.number(0)
+    c = draw(gaussians())
+    p = draw(st.integers(-2, 2))
+    return (c * ScalarValue.E(draw(st.sampled_from(LABELS)), p)
+            * ScalarValue.k(draw(st.sampled_from(LABELS)), draw(st.integers(1, 3))))
+
+
+@st.composite
+def waves(draw):
+    kind = draw(st.sampled_from(("none", "label", "general")))
+    if kind == "none":
+        return W_IDENTITY
+    if kind == "label":
+        return PlaneWave.label(draw(st.sampled_from(LABELS)))
+    spatial = tuple(draw(spatial_entries()) for _ in range(3))
+    time = [(j, draw(st.integers(-2, 2))) for j in LABELS if draw(st.booleans())]
+    return PlaneWave(spatial, time)
+
+
+@st.composite
+def position_keys(draw, max_degree=2):
+    a = draw(st.tuples(*[st.integers(0, max_degree)] * 3)
+             .filter(lambda t: sum(t) <= max_degree))
+    d = draw(st.integers(0, max_degree - sum(a)))
+    return (a, d, draw(waves()))
+
+
+@st.composite
+def positions(draw, max_terms=2):
+    acc = PositionElement.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        a, d, w = draw(position_keys())
+        acc = acc + PositionElement.monomial(a, d, w, draw(gaussians()))
+    return acc
+
+
+@st.composite
+def momentum_keys(draw):
+    b = draw(st.tuples(*[st.integers(0, 1)] * 3))
+    return (b, draw(st.integers(0, 1)), draw(st.integers(-1, 1)))
+
+
+@st.composite
+def heisenbergs(draw):
+    p = MomentumElement({draw(momentum_keys()): draw(gaussians())})
+    return HeisenbergElement.coerce(draw(positions(max_terms=1))) * p
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions(), positions(), positions())
+def test_position_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(heisenbergs(), heisenbergs(), heisenbergs())
+def test_heisenberg_product_is_associative(h1, h2, h3):
+    assert (h1 * h2) * h3 == h1 * (h2 * h3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PROBES), positions(), positions())
+def test_module_algebra_law(p, a, b):
+    """act(p, a b) = sum act(p(1), a) act(p(2), b) over p's coproduct."""
+    rhs = PositionElement.zero()
+    for (kl, kr), c in p.coproduct().terms.items():
+        left = act(MomentumElement({kl: ScalarValue.number(1)}), a)
+        right = act(MomentumElement({kr: ScalarValue.number(1)}), b)
+        rhs = rhs + (left * right).scale(c)
+    assert act(p, a * b) == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions(max_terms=3), st.integers(0, 4))
+def test_x0_power_matches_repeated_x0(a, n):
+    """The binomial (x^0)^n step equals n single x^0 steps, term order
+    included (tensor products render in insertion order)."""
+    repeated = a.terms
+    for _ in range(n):
+        repeated = _lmul_x0(repeated)
+    assert list(_lmul_x0_power(n, a.terms).items()) == list(repeated.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(position_keys(), position_keys(), momentum_keys(), st.sampled_from(PROBES))
+def test_memoised_forms_equal_a_recomputation(k1, k2, mk, p):
+    assert _mono_mul(k1, k2) == _mono_mul.__wrapped__(k1, k2)
+    assert _pass_momentum(mk, k1) == _pass_momentum.__wrapped__(mk, k1)
+    assert _act_monomial(p, k1) == _act_monomial.__wrapped__(p, k1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions())
+def test_share_returns_the_first_stored_equal_value(a):
+    first = share(a)
+    rebuilt = (a + a) - a  # equal to a, built afresh
+    assert rebuilt is not first
+    assert share(rebuilt) is first
+    coeff = next(iter(a.terms.values()))
+    copy = coeff + ScalarValue.number(0)
+    assert share(copy) is share(coeff)
+    assert share(1) is not share(ScalarValue.number(1))

@@ -97,6 +97,11 @@ def test_cli_parse_eval_and_errors():
         assert code == 0 and out.strip() == f"{n} * x0"
     code, out, _ = run_cli("eval", " * ".join(["x1"] * 1000))
     assert code == 0 and out.strip() == "x1^1000"
+    code, out, _ = run_cli("eval", "x1^1000")
+    assert code == 0 and out.strip() == "x1^1000"
+    for text in ("x0^1000000000", "kappa^1000000000", "kappa^-1001"):
+        code, _, err = run_cli("eval", text)
+        assert code == 2 and "at most 1000" in err
     chain = " - ".join(["x0"] * 1000)
     code, out, _ = run_cli("parse", chain)
     assert code == 0 and out.strip() == chain
