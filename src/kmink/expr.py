@@ -31,7 +31,7 @@ from . import momentum as mom
 from .action import HeisenbergElement, act
 from .forms import OneForm, TwoForm, exterior_d
 from .minkowski import PlaneWave, PositionElement
-from .scalars import GaussianRational, ScalarValue
+from .scalars import GaussianRational, ScalarValue, decode
 
 
 class ExprError(ValueError):
@@ -523,7 +523,8 @@ def _eval_wave(node):
     if not _is_scalar(t):
         raise EvalError("plane-wave time entry must be a scalar")
     time = []
-    for (kap, ks, es), c in t.terms.items():
+    for key, c in t.terms.items():
+        kap, ks, es = decode(key)
         if kap or es or len(ks) != 1 or ks[0][1] != 1 or ks[0][0][1] != 0:
             raise EvalError("plane-wave time must be an integer combination of k[j,0]")
         if c.b or c.d != 1:

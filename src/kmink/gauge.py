@@ -256,11 +256,12 @@ def divergence(cfg, charged=False):
     - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k.  Memoised
     per (cfg, charged), like `field_strength`."""
     strength = field_strength(cfg, charged=charged)
+    raised = {(m, n): strength.raised(m, n) for m in range(5) for n in range(5)}
     out = {}
     for k in range(5):
         acc = PositionElement.zero()
         for m in range(5):
-            fmk = strength.raised(m, k)
+            fmk = raised[m, k]
             if fmk.is_zero():
                 continue
             acc = acc + act_derivative(m, fmk)
@@ -269,13 +270,13 @@ def divergence(cfg, charged=False):
             if cfg.A[j].is_zero():
                 continue
             for m in range(5):
-                fmk = strength.raised(m, k)
+                fmk = raised[m, k]
                 if fmk.is_zero():
                     continue
                 correction = correction + cfg.A[j] * act_f(j, m, fmk)
             for m in range(5):
                 for n in range(5):
-                    fmn = strength.raised(m, n)
+                    fmn = raised[m, n]
                     if fmn.is_zero():
                         continue
                     acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
@@ -307,27 +308,26 @@ def invariants(cfg, charged=False):
     C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per (cfg, charged), like
     `field_strength`."""
     strength = field_strength(cfg, charged=charged)
-    c = PositionElement.zero()
-    c_plus = PositionElement.zero()
-    c_minus = PositionElement.zero()
+    # (F_ij, F^ij, F_ij*, F^ij*) for each nonzero component, in (i, j) order.
+    comps = {}
     for i in range(5):
         for j in range(5):
             f_low = strength.component(i, j)
-            if f_low.is_zero():
-                continue
-            f_up = strength.raised(i, j)
-            c = c + f_up * f_low.star()
-            for k in range(5):
-                for l in range(5):
-                    fkl_up = strength.raised(k, l)
-                    if fkl_up.is_zero():
-                        continue
-                    acted = act_f(i, k, act_f(j, l, fkl_up))
-                    if not acted.is_zero():
-                        c_plus = c_plus + f_low * acted
-                    acted2 = act_f(i, k, act_f(j, l, f_low.star()))
-                    if not acted2.is_zero():
-                        c_minus = c_minus + acted2 * fkl_up.star()
+            if not f_low.is_zero():
+                f_up = strength.raised(i, j)
+                comps[i, j] = (f_low, f_up, f_low.star(), f_up.star())
+    c = PositionElement.zero()
+    c_plus = PositionElement.zero()
+    c_minus = PositionElement.zero()
+    for (i, j), (f_low, f_up, f_low_star, _) in comps.items():
+        c = c + f_up * f_low_star
+        for (k, l), (_, fkl_up, _, fkl_up_star) in comps.items():
+            acted = act_f(i, k, act_f(j, l, fkl_up))
+            if not acted.is_zero():
+                c_plus = c_plus + f_low * acted
+            acted2 = act_f(i, k, act_f(j, l, f_low_star))
+            if not acted2.is_zero():
+                c_minus = c_minus + acted2 * fkl_up_star
     return c, c_plus, c_minus
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalars import HALF, I, ONE, ZERO, ScalarValue
+from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
 from .terms import IndexedMap, TensorSquare, TermMap, accumulate
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
@@ -133,8 +133,9 @@ class MomentumElement(TermMap):
         """
         out = {}
         for (b, d, lam), c in self.terms.items():
-            for (kap, ks, es), g in c.kappa_expand(order).terms.items():
-                mono = ScalarValue({(kap, ks, es): g})
+            for key, g in c.kappa_expand(order).terms.items():
+                kap = decode(key)[0]
+                mono = ScalarValue({key: g})
                 if lam == 0:
                     if kap >= -order:
                         accumulate(out, (b, d, 0), mono)

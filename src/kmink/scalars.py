@@ -11,11 +11,20 @@ never negative.  E[j] abbreviates exp(k[j,0]/kappa) but is kept as an
 independent Laurent generator so the ring stays decidable; the
 transcendental identification is invoked only by `kappa_expand`.
 
+A monomial is stored under one packed int key: each symbol's exponent
+sits in its own 32-bit field, so a monomial product is one integer add.
+kappa owns the lowest field; each k[j,mu] and E[j] takes the next field
+the first time it is used.  Every exponent must lie in [-2^30, 2^30):
+building or multiplying past that raises ValueError, never a wrong key.
+`decode` turns a key back into (kappa_exp, k exponents, E exponents);
+`render` orders monomials by that tuple.
+
 Values are immutable and hashable; all operations are pure.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -128,40 +137,78 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
-# Monomial key: (kappa_exp, ks, es) with ks a sorted tuple of
-# ((label, mu), exp>0) and es a sorted tuple of (label, exp != 0).
-KEY_ONE = (0, (), ())
+# -- packed monomial keys ------------------------------------------------------
+#
+# A monomial key is one int, sum(e_v << (WIDTH * slot(v))), with each
+# symbol's signed exponent e_v in a WIDTH-bit field.  kappa owns slot 0;
+# each k[j,mu] and E[j] takes the next slot the first time it is used, so
+# only kappa's slot exists at import.  Every exponent lies in [-LIMIT, LIMIT):
+# constructors check it directly, and products and inverses through the
+# guard.  Adding _BIAS (LIMIT in every slot) turns each field into
+# e_v + LIMIT in [0, 2 * LIMIT), so no field borrows from the next and slot i
+# reads as ((key + _BIAS) >> WIDTH * i & MASK) - LIMIT.
+#
+# Guard: a monomial product is the sum of two in-range keys, so each of its
+# fields lies in [-2 * LIMIT, 2 * LIMIT).  After the bias an out-of-range
+# field reads in [2 * LIMIT, 3 * LIMIT), or is negative and borrows 2^WIDTH
+# from the field above, reading in [3 * LIMIT, 4 * LIMIT).  Either way it sets
+# its field's top bit, which _GUARD collects: a negative top field shows the
+# bit in two's complement too, so no separate sign test is needed.  A
+# guarded key raises ValueError rather than alias another monomial.
+
+WIDTH = 32
+LIMIT = 1 << (WIDTH - 2)
+MASK = (1 << WIDTH) - 1
+KEY_ONE = 0
+KAPPA_UNIT = 1  # the key of kappa^1: slot 0
+
+_UNITS = {}  # ("k", (j, mu)) or ("E", j) -> the key of that symbol^1
+_K_FIELDS = []  # ((j, mu), shift) in symbol order
+_E_FIELDS = []  # (j, shift) in symbol order
+_BIAS = LIMIT
+_GUARD = 1 << (WIDTH - 1)
 
 
-def _merge_exponents(base, extra):
-    """Add two sorted (name, exp) tuples, dropping zero exponents."""
-    if not extra:
-        return base
-    if not base:
-        return extra
-    if len(base) == 1 and len(extra) == 1:
-        (n1, e1), = base
-        (n2, e2), = extra
-        if n1 == n2:
-            e = e1 + e2
-            return ((n1, e),) if e else ()
-        return base + extra if n1 < n2 else extra + base
-    acc = dict(base)
-    for name, e in extra:
-        v = acc.get(name, 0) + e
-        if v:
-            acc[name] = v
-        else:
-            del acc[name]
-    return tuple(sorted(acc.items()))
+def _overflow():
+    raise ValueError(f"exponent out of range: exponents must lie in [-{LIMIT}, {LIMIT})")
 
 
-def _mul_keys(x, y):
-    if y == KEY_ONE:
-        return x
-    if x == KEY_ONE:
-        return y
-    return (x[0] + y[0], _merge_exponents(x[1], y[1]), _merge_exponents(x[2], y[2]))
+def _unit(kind, var):
+    """The key of k[var] (kind "k", var = (j, mu)) or E[var] (kind "E"),
+    taking the next slot the first time the symbol is used."""
+    unit = _UNITS.get((kind, var))
+    if unit is None:
+        global _BIAS, _GUARD
+        shift = WIDTH * (len(_UNITS) + 1)
+        unit = _UNITS[(kind, var)] = 1 << shift
+        insort(_K_FIELDS if kind == "k" else _E_FIELDS, (var, shift))
+        _BIAS |= LIMIT << shift
+        _GUARD |= 1 << (shift + WIDTH - 1)
+    return unit
+
+
+def _power_key(unit, e):
+    """The key of a symbol to the power e, given the key of its first power."""
+    if not -LIMIT <= e < LIMIT:
+        _overflow()
+    return unit * e
+
+
+def _checked(key):
+    """`key` if every field lies in range; see the layout comment."""
+    if (key + _BIAS) & _GUARD:
+        _overflow()
+    return key
+
+
+def decode(key):
+    """The key as (kappa_exp, ks, es): ks the sorted ((j, mu), e) pairs of
+    its k symbols and es the sorted (j, e) pairs of its E symbols, each with
+    a nonzero exponent.  Sorting by this tuple is the rendering order."""
+    t = key + _BIAS
+    ks = tuple((v, e) for v, sh in _K_FIELDS if (e := (t >> sh & MASK) - LIMIT))
+    es = tuple((v, e) for v, sh in _E_FIELDS if (e := (t >> sh & MASK) - LIMIT))
+    return (t & MASK) - LIMIT, ks, es
 
 
 class ScalarValue:
@@ -190,7 +237,7 @@ class ScalarValue:
 
     @staticmethod
     def kappa(n=1):
-        return ScalarValue({(n, (), ()): GR_ONE})
+        return ScalarValue({_power_key(KAPPA_UNIT, n): GR_ONE})
 
     @staticmethod
     def k(label, mu, exp=1):
@@ -200,13 +247,13 @@ class ScalarValue:
             raise ValueError("k symbols only carry nonnegative exponents")
         if exp == 0:
             return ONE
-        return ScalarValue({(0, (((label, mu), exp),), ()): GR_ONE})
+        return ScalarValue({_power_key(_unit("k", (label, mu)), exp): GR_ONE})
 
     @staticmethod
     def E(label, exp=1):
         if exp == 0:
             return ONE
-        return ScalarValue({(0, (), ((label, exp),)): GR_ONE})
+        return ScalarValue({_power_key(_unit("E", label), exp): GR_ONE})
 
     # -- ring operations ---------------------------------------------------
 
@@ -257,12 +304,12 @@ class ScalarValue:
             if k2 == KEY_ONE and c2 == GR_ONE:
                 return self
             return ScalarValue(
-                {_mul_keys(k1, k2): c1 * c2 for k1, c1 in self.terms.items()}
+                {_checked(k1 + k2): c1 * c2 for k1, c1 in self.terms.items()}
             )
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = _mul_keys(k1, k2)
+                key = _checked(k1 + k2)
                 v = out.get(key, GR_ZERO) + c1 * c2
                 if v.is_zero():
                     out.pop(key, None)
@@ -288,11 +335,11 @@ class ScalarValue:
         """Reciprocal of a single monomial with no k symbols."""
         if len(self.terms) != 1:
             raise ValueError("only monomial scalars are invertible")
-        (kap, ks, es), c = next(iter(self.terms.items()))
-        if ks:
+        (key, c), = self.terms.items()
+        t = key + _BIAS
+        if any(t >> shift & MASK != LIMIT for _, shift in _K_FIELDS):
             raise ValueError("k symbols are not invertible (nonnegative exponents)")
-        key = (-kap, (), tuple(sorted((j, -e) for j, e in es)))
-        return ScalarValue({key: c.reciprocal()})
+        return ScalarValue({_checked(-key): c.reciprocal()})
 
     # -- expansion and inspection ------------------------------------------
 
@@ -301,32 +348,42 @@ class ScalarValue:
         and drop every monomial with kappa exponent below -order."""
         if order < 0:
             raise ValueError("expansion order must be nonnegative")
+        # Per label j: E[j]'s field shift and the key of k[j,0] / kappa.
+        steps = [(shift, _unit("k", (j, 0)) - KAPPA_UNIT) for j, shift in _E_FIELDS]
+        bias = _BIAS
         out = {}
-        for (kap, ks, es), coeff in self.terms.items():
-            pieces = [((kap, ks), coeff)]
-            for j, p in es:
-                grown = []
-                for (kap1, ks1), c1 in pieces:
-                    for n in range(order + 1):
-                        key = (kap1 - n, _merge_exponents(ks1, (((j, 0), n),)) if n else ks1)
-                        fac = GaussianRational(Fraction(p ** n, factorial(n)))
-                        grown.append((key, c1 * fac))
-                pieces = grown
-            for (kap1, ks1), c1 in pieces:
-                if kap1 < -order:
+        for key, coeff in self.terms.items():
+            t = key + bias
+            pieces = [(key, coeff)]
+            for shift, step in steps:
+                p = (t >> shift & MASK) - LIMIT
+                if not p:
                     continue
-                key = (kap1, ks1, ())
-                v = out.get(key, GR_ZERO) + c1
+                facs = [GaussianRational(Fraction(p ** n, factorial(n)))
+                        for n in range(order + 1)]
+                grown = []
+                for key1, c1 in pieces:
+                    key1 -= p << shift  # drop E[j]^p
+                    for n, fac in enumerate(facs):
+                        grown.append((_checked(key1 + n * step), c1 * fac))
+                pieces = grown
+            for key1, c1 in pieces:
+                if ((key1 + bias) & MASK) - LIMIT < -order:
+                    continue
+                v = out.get(key1, GR_ZERO) + c1
                 if v.is_zero():
-                    out.pop(key, None)
+                    out.pop(key1, None)
                 else:
-                    out[key] = v
+                    out[key1] = v
         return ScalarValue(out)
 
     def filter_k_degree(self, max_degree):
         """Keep only monomials whose total k-symbol degree is <= max_degree."""
+        bias = _BIAS
+        shifts = [shift for _, shift in _K_FIELDS]
         return ScalarValue(
-            {k: c for k, c in self.terms.items() if sum(e for _, e in k[1]) <= max_degree}
+            {key: c for key, c in self.terms.items()
+             if sum(((key + bias) >> shift & MASK) - LIMIT for shift in shifts) <= max_degree}
         )
 
     def is_zero(self):
@@ -352,8 +409,8 @@ class ScalarValue:
         if not self.terms:
             return "0"
         parts = []
-        for (kap, ks, es) in sorted(self.terms):
-            coeff = self.terms[(kap, ks, es)]
+        for (kap, ks, es), key in sorted((decode(key), key) for key in self.terms):
+            coeff = self.terms[key]
             factors = []
             if kap:
                 factors.append("kappa" if kap == 1 else f"kappa^{kap}")

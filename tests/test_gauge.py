@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from kmink import gauge
+from kmink.action import act_derivative, act_f, act_f_lowered
 from kmink.fuzz import rand_polynomial
 from kmink.minkowski import PlaneWave, PositionElement
-from kmink.scalars import ScalarValue
+from kmink.scalars import I, ScalarValue
 from kmink.terms import IndexedMap
 
 X = [PositionElement.x(mu) for mu in range(4)]
@@ -240,3 +241,61 @@ def test_strength_memo_tells_charges_apart():
         assert first != second
         assert first == fn.__wrapped__(cfg_g1, charged=True)
         assert second == fn.__wrapped__(cfg_g2, charged=True)
+
+
+# -- reference: invariants and divergence with every component re-read --------
+
+
+def reference_invariants(cfg, charged):
+    """C, C_+ and C_- with each component read, raised and starred inside
+    the loops, as written in the definitions."""
+    strength = gauge.field_strength(cfg, charged=charged)
+    c = c_plus = c_minus = Z
+    for i in range(5):
+        for j in range(5):
+            f_low = strength.component(i, j)
+            if f_low.is_zero():
+                continue
+            c = c + strength.raised(i, j) * f_low.star()
+            for k in range(5):
+                for l in range(5):
+                    fkl_up = strength.raised(k, l)
+                    if fkl_up.is_zero():
+                        continue
+                    acted = act_f(i, k, act_f(j, l, fkl_up))
+                    if not acted.is_zero():
+                        c_plus = c_plus + f_low * acted
+                    acted2 = act_f(i, k, act_f(j, l, f_low.star()))
+                    if not acted2.is_zero():
+                        c_minus = c_minus + acted2 * fkl_up.star()
+    return c, c_plus, c_minus
+
+
+def reference_divergence(cfg, charged):
+    """nabla_m F^{mk} with every raised component read inside the loops."""
+    strength = gauge.field_strength(cfg, charged=charged)
+    out = {}
+    for k in range(5):
+        acc = Z
+        for m in range(5):
+            acc = acc + act_derivative(m, strength.raised(m, k))
+        correction = Z
+        for j in range(5):
+            for m in range(5):
+                correction = correction + cfg.A[j] * act_f(j, m, strength.raised(m, k))
+            for m in range(5):
+                for n in range(5):
+                    acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
+                    correction = correction - strength.raised(m, n) * acted
+        value = acc + correction.scale(I * cfg.g)
+        if not value.is_zero():
+            out[k] = value
+    return IndexedMap(out)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("charged", [False, True])
+def test_hoisted_invariants_and_divergence_match_reference(g, charged):
+    cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
+    assert gauge.invariants.__wrapped__(cfg, charged) == reference_invariants(cfg, charged)
+    assert gauge.divergence.__wrapped__(cfg, charged) == reference_divergence(cfg, charged)

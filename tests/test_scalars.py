@@ -1,12 +1,12 @@
 """Ring axioms and expansion rules for the exact coefficient ring."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmink.scalars import GaussianRational, ScalarValue
+from kmink.scalars import LIMIT, GaussianRational, ScalarValue
 
 
 def num(re, im=0):
@@ -188,3 +188,179 @@ def test_equal_gaussian_rationals_hash_equal(p, q):
     assert hash(same) == hash(x)
     assert (x * y) - (y * x) == GaussianRational()
     assert hash((x - x)) == hash(GaussianRational())
+
+
+# -- oracle: packed monomial keys against a plain tuple model ------------------
+#
+# The model holds a scalar as {(kappa_exp, ks, es): Fraction}, with ks the
+# sorted ((j, mu), e) pairs of its k symbols and es the sorted (j, e) pairs of
+# its E symbols, and does the arithmetic on those tuples.  Any exponent
+# outside [-LIMIT, LIMIT) must make the engine raise ValueError.
+
+def near_limit(lo):
+    """Small exponents from `lo`, plus ones at the edges of the range."""
+    edges = st.integers(LIMIT - 2, LIMIT - 1)
+    if lo < 0:
+        edges = edges | st.integers(-LIMIT, -LIMIT + 1)
+    return st.integers(lo, 3) | edges
+
+
+LAURENT = near_limit(-3)
+MODEL_MONOMIALS = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(-3, 2)]),
+    LAURENT,
+    st.dictionaries(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                    near_limit(1), max_size=2),
+    st.dictionaries(st.integers(1, 4), LAURENT.filter(bool), max_size=2),
+)
+MODEL_POLYS = st.lists(MODEL_MONOMIALS, min_size=1, max_size=3)
+
+
+def in_range(*exps):
+    return all(-LIMIT <= e < LIMIT for e in exps)
+
+
+def model_key(kap, ks, es):
+    return (kap, tuple(sorted((v, e) for v, e in ks.items() if e)),
+            tuple(sorted((j, e) for j, e in es.items() if e)))
+
+
+def model_add(poly, key, c):
+    c = poly.get(key, 0) + c
+    if c:
+        poly[key] = c
+    else:
+        poly.pop(key, None)
+
+
+def model_of(monos):
+    poly = {}
+    for c, kap, ks, es in monos:
+        model_add(poly, model_key(kap, ks, es), Fraction(c))
+    return poly
+
+
+def engine_of(monos):
+    acc = ScalarValue()
+    for c, kap, ks, es in monos:
+        term = num(c) * ScalarValue.kappa(kap)
+        for (j, mu), e in ks.items():
+            term = term * ScalarValue.k(j, mu, e)
+        for j, e in es.items():
+            term = term * ScalarValue.E(j, e)
+        acc = acc + term
+    return acc
+
+
+def model_mul(p, q):
+    """The product, or None when an exponent leaves the range."""
+    out = {}
+    for (kap1, ks1, es1), c1 in p.items():
+        for (kap2, ks2, es2), c2 in q.items():
+            ks, es = dict(ks1), dict(es1)
+            for v, e in ks2:
+                ks[v] = ks.get(v, 0) + e
+            for j, e in es2:
+                es[j] = es.get(j, 0) + e
+            if not in_range(kap1 + kap2, *ks.values(), *es.values()):
+                return None
+            model_add(out, model_key(kap1 + kap2, ks, es), c1 * c2)
+    return out
+
+
+def model_render(poly):
+    if not poly:
+        return "0"
+    parts = []
+    for kap, ks, es in sorted(poly):
+        c = poly[kap, ks, es]
+        factors = [("kappa" if kap == 1 else f"kappa^{kap}")] if kap else []
+        factors += [f"k[{j},{mu}]" + (f"^{e}" if e != 1 else "") for (j, mu), e in ks]
+        factors += [f"E[{j}]" + (f"^{e}" if e != 1 else "") for j, e in es]
+        if not factors:
+            parts.append(str(c))
+        else:
+            parts.append(" * ".join(factors if c == 1 else [str(c)] + factors))
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(MODEL_POLYS, MODEL_POLYS)
+def test_packed_product_and_render_match_tuple_model(a, b):
+    x, y = engine_of(a), engine_of(b)
+    assert x.render() == model_render(model_of(a))
+    want = model_mul(model_of(a), model_of(b))
+    if want is None:
+        with pytest.raises(ValueError):
+            x * y
+    else:
+        assert (x * y).render() == model_render(want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(MODEL_MONOMIALS)
+def test_packed_inverse_matches_tuple_model(mono):
+    c, kap, ks, es = mono
+    x = engine_of([mono])
+    if ks or not in_range(-kap, *(-e for e in es.values())):
+        with pytest.raises(ValueError):
+            x.inverse()
+        return
+    inv = model_of([(1 / Fraction(c), -kap, {}, {j: -e for j, e in es.items()})])
+    assert x.inverse().render() == model_render(inv)
+    assert x * x.inverse() == num(1)
+
+
+def model_kappa_expand(poly, order):
+    """The expansion, or None when an exponent leaves the range."""
+    out = {}
+    for (kap, ks, es), c in poly.items():
+        pieces = [(kap, dict(ks), c)]
+        for j, p in es:
+            pieces = [(kap1 - n, {**ks1, (j, 0): ks1.get((j, 0), 0) + n},
+                       c1 * Fraction(p ** n, factorial(n)))
+                      for kap1, ks1, c1 in pieces for n in range(order + 1)]
+        for kap1, ks1, c1 in pieces:
+            if not in_range(kap1, *ks1.values()):
+                return None
+            if kap1 >= -order:
+                model_add(out, model_key(kap1, ks1, {}), c1)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(MODEL_POLYS, st.integers(0, 2))
+def test_packed_kappa_expand_matches_tuple_model(monos, order):
+    x = engine_of(monos)
+    want = model_kappa_expand(model_of(monos), order)
+    if want is None:
+        with pytest.raises(ValueError):
+            x.kappa_expand(order)
+    else:
+        assert x.kappa_expand(order).render() == model_render(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(MODEL_POLYS, st.integers(0, 4))
+def test_packed_filter_k_degree_matches_tuple_model(monos, degree):
+    want = {key: c for key, c in model_of(monos).items()
+            if sum(e for _, e in key[1]) <= degree}
+    assert engine_of(monos).filter_k_degree(degree).render() == model_render(want)
+
+
+def test_exponent_limit_examples():
+    assert LIMIT == 2 ** 30
+    assert ScalarValue.kappa(-LIMIT).render() == f"kappa^{-LIMIT}"
+    assert ScalarValue.E(4, LIMIT - 1).render() == f"E[4]^{LIMIT - 1}"
+    for make in (lambda: ScalarValue.kappa(LIMIT), lambda: ScalarValue.E(1, -LIMIT - 1),
+                 lambda: ScalarValue.k(2, 3, LIMIT), lambda: ScalarValue.kappa(-LIMIT).inverse(),
+                 lambda: ScalarValue.kappa(LIMIT - 1) * ScalarValue.kappa(1),
+                 lambda: ScalarValue.E(3, -LIMIT) * ScalarValue.E(3, -1),
+                 lambda: ScalarValue.k(1, 0, LIMIT - 1) * ScalarValue.k(1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            make()
+    edge = ScalarValue.kappa(LIMIT - 1) * ScalarValue.kappa(-LIMIT)
+    assert edge == ScalarValue.kappa(-1)

@@ -99,6 +99,11 @@ def test_cli_parse_eval_and_errors():
     assert code == 0 and out.strip() == "x1^1000"
     code, out, _ = run_cli("eval", "x1^1000")
     assert code == 0 and out.strip() == "x1^1000"
+    code, out, _ = run_cli("eval", "k[1,0]^1000")
+    assert code == 0 and out.strip() == "k[1,0]^1000"
+    for base in ("k[1,0]", "kappa", "E[1]", "(E[1]^-1)"):
+        code, _, err = run_cli("eval", f"((({base}^1000)^1000)^1000)^1000")
+        assert code == 2 and "out of range" in err
     for text in ("x0^1000000000", "kappa^1000000000", "kappa^-1001"):
         code, _, err = run_cli("eval", text)
         assert code == 2 and "at most 1000" in err
