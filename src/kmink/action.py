@@ -13,8 +13,18 @@ rules
 
 for plane-wave factors S = exp(i q.x_spatial), T = exp(i K x^0), so the
 action on any polynomial-plus-plane-wave element terminates in finitely
-many exact steps.  The left action is normal ordering followed by the
-vacuum projection, i.e. the momentum counit (P -> 0, Exp[l] -> 1).
+many exact steps.
+
+Momenta commute, so a momentum monomial P_1^b1 P_2^b2 P_3^b3 P_0^d Exp[l]
+passes a position monomial one generator at a time: Exp[l] once, P_0 d
+times, then each P_m b_m times.  `_step` is the one table of the rules
+above: one generator past one position monomial, each piece with the
+momentum remainder it leaves on the right.  The left action `act` is a
+module action, (PQ) |> f = P |> (Q |> f): it applies the generators in
+turn, asking each step only for its pieces with no P remainder, and sends
+an Exp remainder to 1 (the momentum counit), so it never forms a momentum
+remainder.  The full normal form `_pass_momentum`, which keeps
+every remainder, serves mixed words (`HeisenbergElement` products) only.
 """
 
 from __future__ import annotations
@@ -23,11 +33,82 @@ from functools import lru_cache
 from math import comb
 
 from . import momentum as mom
-from .minkowski import KEY_UNIT, PositionElement, _mono_mul
+from .minkowski import IMK, KEY_UNIT, PositionElement, _mono_mul
 from .scalars import I, ONE, ScalarValue
 from .terms import TermMap, accumulate, share
 
 MOM_UNIT = ((0, 0, 0), 0, 0)
+_P0 = ((0, 0, 0), 1, 0)
+_PM = (((1, 0, 0), 0, 0), ((0, 1, 0), 0, 0), ((0, 0, 1), 0, 0))
+
+
+def _generators(momkey):
+    """The generators of a momentum monomial in the order they pass a
+    position monomial, each as a momentum key."""
+    b, d, lam = momkey
+    gens = [((0, 0, 0), 0, lam)] if lam else []
+    gens += [_P0] * d
+    for m in range(3):
+        gens += [_PM[m]] * b[m]
+    return gens
+
+
+def _mom_add(m1, m2):
+    """Key of the product of two momentum monomials."""
+    return (
+        (m1[0][0] + m2[0][0], m1[0][1] + m2[0][1], m1[0][2] + m2[0][2]),
+        m1[1] + m2[1],
+        m1[2] + m2[2],
+    )
+
+
+@lru_cache(maxsize=200000)
+def _step(gen, poskey, vacuum=False):
+    """Commute one generator (Exp[l], P_0 or P_m, as a momentum key) past
+    one position monomial.
+
+    Returns a tuple of (position key, remainder momentum key, ScalarValue)
+    triples, with distinct position-remainder pairs, whose sum is the
+    normal form of gen * poskey; each remainder is `gen` or the unit.  With
+    `vacuum`, the pieces with a P remainder are left out: they are the ones
+    the left action drops, and for P_m they are a binomial expansion.
+    """
+    b, d, lam = gen
+    a, t, w = poskey
+    pieces = []
+    if lam:
+        # x^a (x0 - i lam/kappa)^t E_K^lam W Exp[lam]
+        shift = ScalarValue.number(-lam) * IMK
+        ew = w.e_power(lam)
+        for r in range(t + 1):
+            coeff = ScalarValue.number(comb(t, r)) * (shift ** (t - r)) * ew
+            pieces.append(((a, r, w), gen, coeff))
+    elif d:
+        # x^a x0^t W (P_0 + K) - i t x^a x0^(t-1) W
+        if not vacuum:
+            pieces.append((poskey, gen, ONE))
+        k0 = w.time_scalar()
+        if not k0.is_zero():
+            pieces.append((poskey, MOM_UNIT, k0))
+        if t:
+            pieces.append(((a, t - 1, w), MOM_UNIT, ScalarValue.number(-t) * I))
+    else:
+        # -i a_m x^(a-e_m) x0^t W + x^a (x0 + i/kappa)^t W (E_K^-1 P_m + q_m)
+        m = b.index(1)
+        if a[m]:
+            na = list(a)
+            na[m] -= 1
+            pieces.append(((tuple(na), t, w), MOM_UNIT, ScalarValue.number(-a[m]) * I))
+        qm = w.spatial[m]
+        if not (vacuum and qm.is_zero()):
+            ew_inv = w.e_power(-1)
+            for r in range(t + 1):
+                coeff = ScalarValue.number(comb(t, r)) * (IMK ** (t - r))
+                if not vacuum:
+                    pieces.append(((a, r, w), gen, coeff * ew_inv))
+                if not qm.is_zero():
+                    pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
+    return tuple((share(p), share(r), share(c)) for p, r, c in pieces)
 
 
 @lru_cache(maxsize=200000)
@@ -37,79 +118,21 @@ def _pass_momentum(momkey, poskey):
     Returns a tuple of (position key, momentum key, ScalarValue) triples
     whose sum is the normal form of momkey * poskey.
     """
-    b, d, lam = momkey
-    a, t, w = poskey
-    if lam != 0:
-        # peel the whole exponential: closed-form shift and rescale
-        shift = ScalarValue.number(-lam) * I * ScalarValue.kappa(-1)
-        ew = w.e_power(lam)
+    terms = {(poskey, MOM_UNIT): ONE}
+    for gen in _generators(momkey):
         out = {}
-        for r in range(t + 1):
-            coeff = ScalarValue.number(comb(t, r)) * (shift ** (t - r)) * ew
-            for p2, m2, c2 in _pass_momentum((b, d, 0), (a, r, w)):
-                key = (p2, (m2[0], m2[1], m2[2] + lam))
-                accumulate(out, key, c2 * coeff)
-        return _shared_triples(out)
-    if d > 0:
-        pieces = [((a, t, w), ((0, 0, 0), 1, 0), ONE)]
-        k0 = w.time_scalar()
-        if not k0.is_zero():
-            pieces.append(((a, t, w), MOM_UNIT, k0))
-        if t > 0:
-            pieces.append(((a, t - 1, w), MOM_UNIT, ScalarValue.number(-t) * I))
-        return _continue((b, d - 1, 0), pieces)
-    for m in (1, 2, 3):
-        if b[m - 1]:
-            nb = list(b)
-            nb[m - 1] -= 1
-            pieces = []
-            if a[m - 1]:
-                na = list(a)
-                na[m - 1] -= 1
-                pieces.append(
-                    ((tuple(na), t, w), MOM_UNIT, ScalarValue.number(-a[m - 1]) * I)
-                )
-            pm_key = ((int(m == 1), int(m == 2), int(m == 3)), 0, 0)
-            ew_inv = w.e_power(-1)
-            qm = w.spatial[m - 1]
-            shift = I * ScalarValue.kappa(-1)
-            for r in range(t + 1):
-                coeff = ScalarValue.number(comb(t, r)) * (shift ** (t - r))
-                pieces.append(((a, r, w), pm_key, coeff * ew_inv))
-                if not qm.is_zero():
-                    pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
-            return _continue((tuple(nb), 0, 0), pieces)
-    return ((share(poskey), MOM_UNIT, ONE),)
-
-
-def _continue(rest, pieces):
-    out = {}
-    for pos1, mk1, c1 in pieces:
-        if rest == MOM_UNIT:
-            accumulate(out, (pos1, mk1), c1)
-            continue
-        for p2, m2, c2 in _pass_momentum(rest, pos1):
-            key = (
-                p2,
-                (
-                    (m2[0][0] + mk1[0][0], m2[0][1] + mk1[0][1], m2[0][2] + mk1[0][2]),
-                    m2[1] + mk1[1],
-                    m2[2] + mk1[2],
-                ),
-            )
-            accumulate(out, key, c1 * c2)
-    return _shared_triples(out)
-
-
-def _shared_triples(out):
-    return tuple((share(p), share(m), share(c)) for (p, m), c in out.items())
+        for (pos, rem), c in terms.items():
+            for p2, r2, c2 in _step(gen, pos):
+                accumulate(out, (p2, _mom_add(r2, rem)), c * c2)
+        terms = out
+    return tuple((share(p), share(m), share(c)) for (p, m), c in terms.items())
 
 
 def act(p, a):
     """Left action of a momentum element on a position element.
 
-    Normal-orders p * a and applies the vacuum projection (the momentum
-    counit: any P power kills the term, exponential weights go to 1).
+    The vacuum projection of the normal form of p * a: any P power kills
+    a term, exponential weights go to 1.
     """
     out = {}
     for poskey, ca in a.terms.items():
@@ -119,14 +142,30 @@ def act(p, a):
 
 
 @lru_cache(maxsize=200000)
+def _act_key(momkey, poskey):
+    """momkey |> poskey as shared (key, ScalarValue) pairs: the generators
+    act in turn, each step giving only its pieces with no P remainder; an
+    Exp remainder goes to 1."""
+    terms = {poskey: ONE}
+    for gen in _generators(momkey):
+        out = {}
+        for pos, c in terms.items():
+            for p2, _rem, c2 in _step(gen, pos, True):
+                accumulate(out, p2, c2 if c is ONE else c * c2)
+        if not out:
+            return ()
+        terms = out
+    return tuple((share(k), share(c)) for k, c in terms.items())
+
+
+@lru_cache(maxsize=200000)
 def _act_monomial(p, poskey):
     """act(p, ·) on one position monomial, as a tuple of (key, ScalarValue)
     pairs with shared keys and coefficients."""
     out = {}
     for momkey, cp in p.terms.items():
-        for p2, m2, c2 in _pass_momentum(momkey, poskey):
-            if m2[0] == (0, 0, 0) and m2[1] == 0:
-                accumulate(out, p2, cp * c2)
+        for key, c in _act_key(momkey, poskey):
+            accumulate(out, key, cp * c)
     return tuple((share(k), share(c)) for k, c in out.items())
 
 
@@ -185,12 +224,7 @@ class HeisenbergElement(TermMap):
                 c = c1 * c2
                 for pmid, mmid, cmid in _pass_momentum(m1, p2):
                     cc = c * cmid
-                    mk = (
-                        (mmid[0][0] + m2[0][0], mmid[0][1] + m2[0][1],
-                         mmid[0][2] + m2[0][2]),
-                        mmid[1] + m2[1],
-                        mmid[2] + m2[2],
-                    )
+                    mk = _mom_add(mmid, m2)
                     for pk, cpos in _mono_mul(p1, pmid):
                         accumulate(out, (pk, mk), cc * cpos)
         return HeisenbergElement(out)

@@ -153,34 +153,50 @@ def _grouplike_series_residual(order):
     return delta - square.map_coeffs(lambda v: v.filter_k_degree(order))
 
 
-def _truncated_wave(w, order):
+def _graded_wave(w, order):
     """Polynomial truncation of exp(i q.x) exp(i K x^0) to total momentum
-    degree <= order; the independent series oracle for plane-wave laws."""
+    degree <= order, as its homogeneous pieces: entry n is
+    sum over a + b = n of (i q.x)^a (i K x^0)^b / (a! b!)."""
     from math import factorial
 
     spatial_lin = PositionElement.zero()
     for m in (1, 2, 3):
         spatial_lin = spatial_lin + PositionElement.x(m).scale(I * w.spatial[m - 1])
     time_lin = PositionElement.x(0).scale(I * w.time_scalar())
-    acc = PositionElement.zero()
-    spow = PositionElement.one()
+    spows, tpows = [PositionElement.one()], [PositionElement.one()]
+    for _ in range(order):
+        spows.append(spows[-1] * spatial_lin)
+        tpows.append(tpows[-1] * time_lin)
+    graded = [PositionElement.zero()] * (order + 1)
     for a in range(order + 1):
-        if a:
-            spow = spow * spatial_lin
-        tpow = PositionElement.one()
         for b in range(order + 1 - a):
-            if b:
-                tpow = tpow * time_lin
             coeff = ScalarValue.number(Fraction(1, factorial(a) * factorial(b)))
-            acc = acc + (spow * tpow).scale(coeff)
-    return acc
+            graded[a + b] = graded[a + b] + (spows[a] * tpows[b]).scale(coeff)
+    return graded
+
+
+def _truncated_wave(w, order):
+    """The sum of `_graded_wave(w, order)`; the independent series oracle
+    for plane-wave laws."""
+    return sum(_graded_wave(w, order), PositionElement.zero())
 
 
 def wave_product_series_residual(order=4):
     """Engine plane-wave product vs the order-`order` truncated-series
-    oracle, compared term by term after kappa expansion and k-degree cut."""
+    oracle, compared term by term after kappa expansion and k-degree cut.
+
+    The left side is the Cauchy product of the two graded series, the
+    pieces with n1 + n2 <= order only.  That is exact: label waves carry no
+    E symbols, so every coefficient of piece n has k-degree n, the
+    coordinate product adds only powers of i/kappa, and k-degree adds; a
+    product with n1 + n2 > order therefore lies wholly above the cut.
+    """
     w1, w2 = PlaneWave.label(1), PlaneWave.label(2)
-    lhs = _truncated_wave(w1, order) * _truncated_wave(w2, order)
+    g1, g2 = _graded_wave(w1, order), _graded_wave(w2, order)
+    lhs = PositionElement.zero()
+    for n1 in range(order + 1):
+        for n2 in range(order + 1 - n1):
+            lhs = lhs + g1[n1] * g2[n2]
     product = PositionElement.wave(w1) * PositionElement.wave(w2)
     (_a, _d, w12), coeff = next(iter(product.terms.items()))
     rhs = _truncated_wave(w12, order).scale(coeff)

@@ -4,10 +4,17 @@ spatial entries carry E symbols."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmink import momentum as mom
-from kmink.action import HeisenbergElement, _act_monomial, _pass_momentum, act
+from kmink.action import (
+    HeisenbergElement,
+    _act_key,
+    _act_monomial,
+    _pass_momentum,
+    act,
+    word,
+)
 from kmink.minkowski import (
     PlaneWave,
     PositionElement,
@@ -83,6 +90,14 @@ def momentum_keys(draw):
 
 
 @st.composite
+def deep_momentum_keys(draw):
+    """Keys with powers up to P_m^2, P_0^3 and Exp[+-2], so that steps
+    compose."""
+    b = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    return (b, draw(st.integers(0, 3)), draw(st.integers(-2, 2)))
+
+
+@st.composite
 def heisenbergs(draw):
     p = MomentumElement({draw(momentum_keys()): draw(gaussians())})
     return HeisenbergElement.coerce(draw(positions(max_terms=1))) * p
@@ -129,6 +144,44 @@ def test_memoised_forms_equal_a_recomputation(k1, k2, mk, p):
     assert _mono_mul(k1, k2) == _mono_mul.__wrapped__(k1, k2)
     assert _pass_momentum(mk, k1) == _pass_momentum.__wrapped__(mk, k1)
     assert _act_monomial(p, k1) == _act_monomial.__wrapped__(p, k1)
+    assert _act_key(mk, k1) == _act_key.__wrapped__(mk, k1)
+
+
+def _vacuum(h):
+    """The vacuum projection of a mixed word, written out: a term with any
+    P power goes, an exponential weight goes to 1."""
+    out = {}
+    for (pk, (b, d, _lam)), c in h.terms.items():
+        if b == (0, 0, 0) and d == 0:
+            out[pk] = out[pk] + c if pk in out else c
+    return PositionElement({k: c for k, c in out.items() if not c.is_zero()})
+
+
+def _generator_factors(momkey):
+    """The momentum monomial as a list of single generators."""
+    b, d, lam = momkey
+    gens = [MomentumElement.P(m + 1) for m in range(3) for _ in range(b[m])]
+    gens += [MomentumElement.P(0)] * d
+    return gens + ([MomentumElement.exp_weight(lam)] if lam else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(deep_momentum_keys(), st.sampled_from(PROBES)), position_keys(),
+       gaussians())
+@example(((0, 0, 0), 2, 1), ((0, 0, 0), 3, W_IDENTITY), ScalarValue.number(1))
+def test_act_is_the_vacuum_projection_of_the_normal_form(p, k, c):
+    """act(p, ·) on one monomial equals the vacuum projection of p * monomial,
+    with the word formed at once and, for a momentum monomial, one generator
+    factor at a time."""
+    if not isinstance(p, MomentumElement):
+        p = MomentumElement({p: c})
+    mono = PositionElement({k: ScalarValue.number(1)})
+    got = PositionElement(dict(_act_monomial(p, k)))
+    assert got == _vacuum(HeisenbergElement.from_momentum(p)
+                          * HeisenbergElement.from_position(mono))
+    if len(p.terms) == 1:
+        (momkey, cp), = p.terms.items()
+        assert got == _vacuum(word(*_generator_factors(momkey), mono)).scale(cp)
 
 
 @settings(max_examples=40, deadline=None)

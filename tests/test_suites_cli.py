@@ -107,6 +107,13 @@ def test_cli_parse_eval_and_errors():
     for text in ("x0^1000000000", "kappa^1000000000", "kappa^-1001"):
         code, _, err = run_cli("eval", text)
         assert code == 2 and "at most 1000" in err
+    # deep momentum powers pass one generator at a time, with no recursion
+    for text, want in (("act(P0^400, x0^2)", "0"),
+                       ("P0^400 * x0", "(-400i) * [1] * [P0^399] + (1) * [x0] * [P0^400]"),
+                       ("act(P0^1000*P1^1000, x1)", "0"),
+                       ("act(P0^2, x0^2)", "-2")):
+        code, out, _ = run_cli("eval", text)
+        assert code == 0 and out.strip() == want
     chain = " - ".join(["x0"] * 1000)
     code, out, _ = run_cli("parse", chain)
     assert code == 0 and out.strip() == chain
