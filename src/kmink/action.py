@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from . import momentum as mom
-from .minkowski import IMK, KEY_UNIT, PositionElement, _mono_mul
+from .minkowski import IMK, KEY_UNIT, PositionElement, _contract, _mono_mul
 from .scalars import I, ONE, ScalarValue
 from .terms import TermMap, accumulate, share
 
@@ -134,11 +134,9 @@ def act(p, a):
     The vacuum projection of the normal form of p * a: any P power kills
     a term, exponential weights go to 1.
     """
-    out = {}
-    for poskey, ca in a.terms.items():
-        for key, c in _act_monomial(p, poskey):
-            accumulate(out, key, ca * c)
-    return PositionElement(out)
+    return PositionElement(_contract(
+        (ca.terms, _act_monomial(p, poskey)) for poskey, ca in a.terms.items()
+    ))
 
 
 @lru_cache(maxsize=200000)
@@ -162,10 +160,7 @@ def _act_key(momkey, poskey):
 def _act_monomial(p, poskey):
     """act(p, ·) on one position monomial, as a tuple of (key, ScalarValue)
     pairs with shared keys and coefficients."""
-    out = {}
-    for momkey, cp in p.terms.items():
-        for key, c in _act_key(momkey, poskey):
-            accumulate(out, key, cp * c)
+    out = _contract((cp.terms, _act_key(momkey, poskey)) for momkey, cp in p.terms.items())
     return tuple((share(k), share(c)) for k, c in out.items())
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import act, act_derivative
+from .minkowski import dot
 from .momentum import (
     METRIC5,
     box,
@@ -174,12 +175,14 @@ def check_diagram(a, psi, rep):
     """Residual of [D, a] psi = sum_i del_i(a) (tau^i_c psi)."""
     d_op = build_dirac(rep)
     lhs = op_apply(d_op, psi.left_mul(a)) - op_apply(d_op, psi).left_mul(a)
-    rhs = IndexedMap()
+    images = []  # (del_i(a), tau^i_c psi) for each nonzero del_i(a)
     for i in range(5):
         da = act_derivative(i, a)
-        if da.is_zero():
-            continue
-        rhs = rhs + op_apply(clifford_image(i, rep), psi).left_mul(da)
+        if not da.is_zero():
+            images.append((da, op_apply(clifford_image(i, rep), psi).terms))
+    rhs = IndexedMap.collect(
+        (r, dot((da, image[r]) for da, image in images if r in image)) for r in range(DIM)
+    )
     return lhs - rhs
 
 

@@ -7,7 +7,11 @@ re-expanded through the f-action
     tau^i a = f^i_j(a) tau^j.
 
 The exterior derivative is d a = del_i(a) tau^i with d tau^i = 0, and the
-basis wedges are antisymmetric, so two-forms store only i < j components.
+basis wedges are antisymmetric, so two-forms store only i < j components:
+a wedge or exterior derivative folds each (i, j) into its i < j slot, with
+its sign, in one dict.  The index sums sum_i a_i f^i_j(b) of `right_mul`
+and `wedge` are each one `minkowski.dot`, which expands each distinct
+monomial pair once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .action import act_derivative, act_f
-from .minkowski import PositionElement
+from .minkowski import PositionElement, dot
 from .momentum import METRIC5
 from .scalars import I, ScalarValue
 from .terms import IndexedMap, TermMap, accumulate
@@ -32,14 +36,9 @@ class OneForm(IndexedMap):
         return OneForm({i: PositionElement.one()})
 
     def right_mul(self, b):
-        """omega * b = (a_i f^i_j(b)) tau^j via the f-action."""
-        out = {}
-        for i, a in self.terms.items():
-            for j in range(5):
-                fb = act_f(i, j, b)
-                if not fb.is_zero():
-                    accumulate(out, j, a * fb)
-        return OneForm(out)
+        """omega * b = (sum_i a_i f^i_j(b)) tau^j via the f-action."""
+        rows = [(a, [act_f(i, j, b) for j in range(5)]) for i, a in self.terms.items()]
+        return OneForm.collect((j, dot((a, fb[j]) for a, fb in rows)) for j in range(5))
 
     def star(self):
         """(a_i tau^i)* = f^i_j(a_i*) tau^j; the tau^i are hermitian."""
@@ -53,25 +52,28 @@ class OneForm(IndexedMap):
         return OneForm(out)
 
     def wedge(self, other):
-        """(a_i tau^i) ^ (b_j tau^j) = a_i f^i_k(b_j) tau^k ^ tau^j."""
-        out = TwoForm()
+        """(a_i tau^i) ^ (b_j tau^j) = a_i f^i_k(b_j) tau^k ^ tau^j; the
+        (k, j) and (j, k) sums fold into one with k < j."""
+        neg = {i: -a for i, a in self.terms.items()}
+        pairs = {}
         for j, b in other.terms.items():
             for i, a in self.terms.items():
                 for k in range(5):
-                    fb = act_f(i, k, b)
-                    if not fb.is_zero():
-                        out = out.add_component(k, j, a * fb)
-        return out
+                    if k != j:
+                        key, left = ((k, j), a) if k < j else ((j, k), neg[i])
+                        pairs.setdefault(key, []).append((left, act_f(i, k, b)))
+        return TwoForm({key: v for key, p in pairs.items() if (v := dot(p)).terms})
 
     def exterior_d(self):
-        """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0."""
-        out = TwoForm()
+        """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0; each
+        (j, i) folds into canonical j < i storage with its sign."""
+        out = {}
         for i, a in self.terms.items():
             for j in range(5):
-                da = act_derivative(j, a)
-                if not da.is_zero():
-                    out = out.add_component(j, i, da)
-        return out
+                if j != i:
+                    da = act_derivative(j, a)
+                    accumulate(out, (j, i) if j < i else (i, j), da if j < i else -da)
+        return TwoForm(out)
 
     render = TermMap.render  # a ` + ` sum of terms, not a `key: value` list
 
@@ -84,15 +86,6 @@ class TwoForm(TermMap):
     `terms` maps (i, j) to a nonzero PositionElement."""
 
     __slots__ = ()
-
-    def add_component(self, i, j, value):
-        """Fold a coefficient on tau^i ^ tau^j into canonical i < j storage."""
-        if i == j or value.is_zero():
-            return self
-        key, v = ((i, j), value) if i < j else ((j, i), -value)
-        out = dict(self.terms)
-        accumulate(out, key, v)
-        return TwoForm(out)
 
     def component(self, i, j):
         if i < j:

@@ -12,6 +12,12 @@ curvature two-form Omega = d omega + g omega ^ omega extracts for any g
 (with the i<j normalization i F_ij tau^i ^ tau^j = Omega) and what makes
 the covariant-derivative commutator identity exact for any g.  The two
 coincide at g = 1, where the covariance suite runs with zero residuals.
+
+Every index contraction of products -- the sum over k in F_ij, the
+divergence correction, the invariants C and C_pm, the covariance
+right-hand sides and the unitarity collapse -- is one `minkowski.dot`
+per output component, with factors shared by all terms (U F_kl, U
+nabla_m F^{mn}) multiplied once outside the index loops.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
 from .forms import OneForm, TwoForm
-from .minkowski import PositionElement
+from .minkowski import PositionElement, dot
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
 from .terms import IndexedMap, accumulate
@@ -116,12 +122,8 @@ def field_strength(cfg, charged=False):
     out = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            val = dA[i][j] - dA[j][i]
-            for k in range(5):
-                inner = act_f(k, i, A[j]) - act_f(k, j, A[i])
-                if not inner.is_zero():
-                    val = val + (A[k] * inner).scale(quad_factor)
-            accumulate(out, (i, j), val)
+            quad = dot((A[k], act_f(k, i, A[j]) - act_f(k, j, A[i])) for k in range(5))
+            accumulate(out, (i, j), dA[i][j] - dA[j][i] + quad.scale(quad_factor))
     return TwoForm(out)
 
 
@@ -153,15 +155,11 @@ def gauge_transform(cfg, u):
     _require_unitary(u)
     ustar = u.star()
     inv_g = cfg.g.inverse()
+    u_a = [(j, u * a) for j, a in enumerate(cfg.A) if not a.is_zero()]
     new_A = []
     for k in range(5):
-        acc = PositionElement.zero()
-        for j in range(5):
-            if cfg.A[j].is_zero():
-                continue
-            acc = acc + u * cfg.A[j] * act_f(j, k, ustar)
-        acc = acc - (u * act_derivative(k, ustar)).scale(I * inv_g)
-        new_A.append(acc)
+        acc = dot((uaj, act_f(j, k, ustar)) for j, uaj in u_a)
+        new_A.append(acc - (u * act_derivative(k, ustar)).scale(I * inv_g))
     return GaugeConfig(tuple(new_A), cfg.g)
 
 
@@ -171,18 +169,14 @@ def check_f_covariance(cfg, u, charged=False):
     ustar = u.star()
     f_old = field_strength(cfg, charged=charged)
     f_new = field_strength(gauge_transform(cfg, u), charged=charged)
+    u_f = {(k, l): u * fk for k in range(5) for l in range(5)
+           if not (fk := f_old.component(k, l)).is_zero()}
     rhs = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            for k in range(5):
-                for l in range(5):
-                    fk = f_old.component(k, l)
-                    if fk.is_zero():
-                        continue
-                    acted = act_f(k, i, act_f(l, j, ustar))
-                    if acted.is_zero():
-                        continue
-                    accumulate(rhs, (i, j), u * fk * acted)
+            accumulate(rhs, (i, j), dot(
+                (ufkl, act_f(k, i, act_f(l, j, ustar))) for (k, l), ufkl in u_f.items()
+            ))
     return f_new - TwoForm(rhs)
 
 
@@ -206,12 +200,8 @@ def covariant_derivative_op(cfg, k, charged=True):
 
 def apply_covariant_derivative(cfg, k, a):
     """nabla_k acting on an algebra element."""
-    out = act_derivative(k, a)
-    for j in range(5):
-        if cfg.A[j].is_zero():
-            continue
-        out = out + (cfg.A[j] * act_f(j, k, a)).scale(I * cfg.g)
-    return out
+    quad = dot((A_j, act_f(j, k, a)) for j, A_j in enumerate(cfg.A) if not A_j.is_zero())
+    return act_derivative(k, a) + quad.scale(I * cfg.g)
 
 
 def check_commutator_identity(cfg, i, j):
@@ -257,6 +247,7 @@ def divergence(cfg, charged=False):
     per (cfg, charged), like `field_strength`."""
     strength = field_strength(cfg, charged=charged)
     raised = {(m, n): strength.raised(m, n) for m in range(5) for n in range(5)}
+    neg_raised = {mn: -f for mn, f in raised.items() if not f.is_zero()}
     out = {}
     for k in range(5):
         acc = PositionElement.zero()
@@ -265,25 +256,17 @@ def divergence(cfg, charged=False):
             if fmk.is_zero():
                 continue
             acc = acc + act_derivative(m, fmk)
-        correction = PositionElement.zero()
+        pairs = []
         for j in range(5):
             if cfg.A[j].is_zero():
                 continue
             for m in range(5):
                 fmk = raised[m, k]
-                if fmk.is_zero():
-                    continue
-                correction = correction + cfg.A[j] * act_f(j, m, fmk)
-            for m in range(5):
-                for n in range(5):
-                    fmn = raised[m, n]
-                    if fmn.is_zero():
-                        continue
-                    acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
-                    if acted.is_zero():
-                        continue
-                    correction = correction - fmn * acted
-        accumulate(out, k, acc + correction.scale(I * cfg.g))
+                if not fmk.is_zero():
+                    pairs.append((cfg.A[j], act_f(j, m, fmk)))
+            for (m, n), neg_fmn in neg_raised.items():
+                pairs.append((neg_fmn, act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))))
+        accumulate(out, k, acc + dot(pairs).scale(I * cfg.g))
     return IndexedMap(out)
 
 
@@ -293,13 +276,11 @@ def check_divergence_covariance(cfg, u, charged=False):
     ustar = u.star()
     div_old = divergence(cfg, charged=charged)
     div_new = divergence(gauge_transform(cfg, u), charged=charged)
-    rhs = {}
-    for k in range(5):
-        for n, div_n in div_old.terms.items():
-            acted = act_f_lowered(n, k, ustar)
-            if not acted.is_zero():
-                accumulate(rhs, k, u * div_n * acted)
-    return div_new - IndexedMap(rhs)
+    u_div = [(n, u * div_n) for n, div_n in div_old.terms.items()]
+    rhs = IndexedMap.collect(
+        (k, dot((udn, act_f_lowered(n, k, ustar)) for n, udn in u_div)) for k in range(5)
+    )
+    return div_new - rhs
 
 
 @lru_cache(maxsize=64)
@@ -316,19 +297,13 @@ def invariants(cfg, charged=False):
             if not f_low.is_zero():
                 f_up = strength.raised(i, j)
                 comps[i, j] = (f_low, f_up, f_low.star(), f_up.star())
-    c = PositionElement.zero()
-    c_plus = PositionElement.zero()
-    c_minus = PositionElement.zero()
-    for (i, j), (f_low, f_up, f_low_star, _) in comps.items():
-        c = c + f_up * f_low_star
+    plus, minus = [], []
+    for (i, j), (f_low, _, f_low_star, _) in comps.items():
         for (k, l), (_, fkl_up, _, fkl_up_star) in comps.items():
-            acted = act_f(i, k, act_f(j, l, fkl_up))
-            if not acted.is_zero():
-                c_plus = c_plus + f_low * acted
-            acted2 = act_f(i, k, act_f(j, l, f_low_star))
-            if not acted2.is_zero():
-                c_minus = c_minus + acted2 * fkl_up_star
-    return c, c_plus, c_minus
+            plus.append((f_low, act_f(i, k, act_f(j, l, fkl_up))))
+            minus.append((act_f(i, k, act_f(j, l, f_low_star)), fkl_up_star))
+    c = dot((f_up, f_low_star) for f_low, f_up, f_low_star, _ in comps.values())
+    return c, dot(plus), dot(minus)
 
 
 def check_invariant_covariance(cfg, u, charged=False):
@@ -356,23 +331,14 @@ def check_star_collapse(u):
     _require_unitary(u)
     left = _nested_f_lowered(u.star())
     right = _nested_f_lowered(u)
-    out = {}
-    for k in range(5):
-        for l in range(5):
-            for uu in range(5):
-                for v in range(5):
-                    for i in range(5):
-                        for j in range(5):
-                            lt = left[k, l, i, j]
-                            if lt.is_zero():
-                                continue
-                            rt = right[i, j, uu, v]
-                            if rt.is_zero():
-                                continue
-                            accumulate(out, (k, l, uu, v), lt * rt)
+    sums = IndexedMap.collect(
+        ((k, l, uu, v), dot((left[k, l, i, j], right[i, j, uu, v])
+                            for i in range(5) for j in range(5)))
+        for k in range(5) for l in range(5) for uu in range(5) for v in range(5)
+    )
     one = PositionElement.one()
     delta = IndexedMap({(k, l, k, l): one for k in range(5) for l in range(5)})
-    return IndexedMap(out) - delta
+    return sums - delta
 
 
 # -- classical limit --------------------------------------------------------------

@@ -17,6 +17,10 @@ then the plane wave.  The product is driven by the closed rewrite rules
 
 with E_K the Laurent monomial in the E symbols representing exp(K/kappa).
 No infinite series ever appears.
+
+`dot` is the contraction kernel: a sum of products sum x * y sums the
+coefficient products per distinct monomial pair, expands each pair's
+normal form once, and accumulates the result in place.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .scalars import I, ONE, ZERO, ScalarValue
+from .scalars import I, ONE, ZERO, ScalarValue, add_product, from_sum
 from .terms import TensorSquare, TermMap, accumulate, share
 
 IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
@@ -222,6 +226,41 @@ def _mono_mul(key1, key2):
     )
 
 
+def _contract(images):
+    """Sum of c * image over (c, image) pairs, as a {key: ScalarValue} dict:
+    c is a scalar term dict and image a tuple of (key, ScalarValue) pairs
+    (a normal form or an action).  Each output key has one in-place
+    accumulator; the ScalarValues are built once at the end, zeros dropped."""
+    out = {}
+    for c, image in images:
+        for key, ci in image:
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            add_product(acc, c, ci.terms)
+    return {key: s for key, acc in out.items() if (s := from_sum(acc)).terms}
+
+
+def dot(pairs):
+    """sum x * y over an iterable of (x, y) PositionElement pairs.
+
+    The coefficient products are first summed per distinct monomial pair,
+    so each pair's normal form is expanded once however many (x, y) share
+    it; a pair whose products cancel is never expanded."""
+    groups = {}
+    for x, y in pairs:
+        for key1, c1 in x.terms.items():
+            for key2, c2 in y.terms.items():
+                acc = groups.get((key1, key2))
+                if acc is None:
+                    acc = groups[key1, key2] = {}
+                add_product(acc, c1.terms, c2.terms)
+    return PositionElement(_contract(
+        (c, _mono_mul(key1, key2)) for (key1, key2), acc in groups.items()
+        if (c := from_sum(acc).terms)
+    ))
+
+
 class PositionElement(TermMap):
     """Normal-ordered element of the kappa-Minkowski algebra."""
 
@@ -256,13 +295,11 @@ class PositionElement(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, PositionElement):
-            out = {}
-            for key, c in self.terms.items():
-                for key2, c2 in other.terms.items():
-                    c12 = c * c2
-                    for key3, c3 in _mono_mul(key, key2):
-                        accumulate(out, key3, c12 * c3)
-            return PositionElement(out)
+            return PositionElement(_contract(
+                ((c1 * c2).terms, _mono_mul(key1, key2))
+                for key1, c1 in self.terms.items()
+                for key2, c2 in other.terms.items()
+            ))
         if isinstance(other, (int, ScalarValue)):
             return self.scale(other)
         return NotImplemented

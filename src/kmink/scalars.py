@@ -19,7 +19,10 @@ building or multiplying past that raises ValueError, never a wrong key.
 `decode` turns a key back into (kappa_exp, k exponents, E exponents);
 `render` orders monomials by that tuple.
 
-Values are immutable and hashable; all operations are pure.
+Values are immutable and hashable; all operations are pure.  Sums of
+many products are accumulated in place instead: `add_product` adds a
+product into a mutable {key: GaussianRational} dict, and `from_sum`
+freezes the dict into a ScalarValue once, at the end.
 """
 
 from __future__ import annotations
@@ -201,6 +204,27 @@ def _checked(key):
     return key
 
 
+def add_product(acc, t1, t2):
+    """Add the product of the term dicts `t1` and `t2` into the mutable
+    {key: GaussianRational} dict `acc` in place.  Every product key passes
+    the guard; sums that vanish stay in `acc` until `from_sum`."""
+    bias, guard = _BIAS, _GUARD
+    get = acc.get
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            key = k1 + k2
+            if (key + bias) & guard:
+                _overflow()
+            v = get(key)
+            acc[key] = c1 * c2 if v is None else v + c1 * c2
+    return acc
+
+
+def from_sum(acc):
+    """The ScalarValue of an `add_product` accumulator, zero sums dropped."""
+    return ScalarValue({k: c for k, c in acc.items() if c.a or c.b})
+
+
 def decode(key):
     """The key as (kappa_exp, ks, es): ks the sorted ((j, mu), e) pairs of
     its k symbols and es the sorted (j, e) pairs of its E symbols, each with
@@ -306,16 +330,7 @@ class ScalarValue:
             return ScalarValue(
                 {_checked(k1 + k2): c1 * c2 for k1, c1 in self.terms.items()}
             )
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _checked(k1 + k2)
-                v = out.get(key, GR_ZERO) + c1 * c2
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return ScalarValue(out)
+        return from_sum(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 

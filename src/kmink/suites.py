@@ -29,7 +29,7 @@ from .forms import (
     check_tau4_definition,
     exterior_d,
 )
-from .minkowski import IMK, PlaneWave, PositionElement, PositionTensor
+from .minkowski import IMK, PlaneWave, PositionElement, PositionTensor, dot
 from .scalars import I, ONE, ScalarValue
 from .terms import IndexedMap
 
@@ -193,10 +193,7 @@ def wave_product_series_residual(order=4):
     """
     w1, w2 = PlaneWave.label(1), PlaneWave.label(2)
     g1, g2 = _graded_wave(w1, order), _graded_wave(w2, order)
-    lhs = PositionElement.zero()
-    for n1 in range(order + 1):
-        for n2 in range(order + 1 - n1):
-            lhs = lhs + g1[n1] * g2[n2]
+    lhs = dot((g1[n1], g2[n2]) for n1 in range(order + 1) for n2 in range(order + 1 - n1))
     product = PositionElement.wave(w1) * PositionElement.wave(w2)
     (_a, _d, w12), coeff = next(iter(product.terms.items()))
     rhs = _truncated_wave(w12, order).scale(coeff)
@@ -270,11 +267,9 @@ def suite_action(cfg):
         b = fuzz.rand_position(rng, min(cfg.max_degree, 2), waves=True)
         q = probes[rng.randrange(len(probes))]
         lhs = act(q, a * b)
-        rhs = PositionElement.zero()
-        for (kl, kr), c in q.coproduct().terms.items():
-            left = act(mom.MomentumElement({kl: ONE}), a)
-            right = act(mom.MomentumElement({kr: ONE}), b)
-            rhs = rhs + (left * right).scale(c)
+        rhs = dot((act(mom.MomentumElement({kl: ONE}), a).scale(c),
+                   act(mom.MomentumElement({kr: ONE}), b))
+                  for (kl, kr), c in q.coproduct().terms.items())
         out.append(_check("action", f"module-algebra-law-{n:02d}", "1.22", lhs - rhs))
 
     d = mom.derivatives()

@@ -2,8 +2,12 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from kmink.action import act_derivative, act_f
 from kmink.forms import (
     OneForm,
+    TwoForm,
     check_metric_centrality,
     check_tau4_definition,
     exterior_d,
@@ -168,3 +172,65 @@ def test_lower_raise_consistency_via_f():
                     acc = acc + act(flow[k][j], act(f[k][i], a))
                 want = a if i == j else PositionElement.zero()
                 assert acc == want
+
+
+# -- the index sums against per-pair references -------------------------------
+
+Z = PositionElement.zero()
+
+
+def reference_right_mul(w, b):
+    """(a_i tau^i) b = sum_i a_i f^i_j(b) tau^j, one product per (i, j)."""
+    out = {}
+    for i, a in w.terms.items():
+        for j in range(5):
+            out[j] = out.get(j, Z) + a * act_f(i, j, b)
+    return OneForm({j: v for j, v in out.items() if not v.is_zero()})
+
+
+def _fold(components):
+    """A TwoForm from a dict of (k, j) components: (k, j) - (j, k) at k < j."""
+    out = {}
+    for k in range(5):
+        for j in range(k + 1, 5):
+            v = components.get((k, j), Z) - components.get((j, k), Z)
+            if not v.is_zero():
+                out[k, j] = v
+    return TwoForm(out)
+
+
+def reference_wedge(w, v):
+    """(a_i tau^i) ^ (b_j tau^j) = sum_i a_i f^i_k(b_j) tau^k ^ tau^j."""
+    comps = {}
+    for j, b in v.terms.items():
+        for i, a in w.terms.items():
+            for k in range(5):
+                comps[k, j] = comps.get((k, j), Z) + a * act_f(i, k, b)
+    return _fold(comps)
+
+
+def reference_form_d(w):
+    """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i."""
+    comps = {}
+    for i, a in w.terms.items():
+        for j in range(5):
+            comps[j, i] = comps.get((j, i), Z) + act_derivative(j, a)
+    return _fold(comps)
+
+
+def wavy_oneform(rng):
+    """A one-form whose coefficients are fuzz elements with waves."""
+    return OneForm.collect((i, rand_position(rng, 1, n_terms=2, waves=True))
+                           for i in range(5) if rng.random() < 0.7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_form_sums_match_per_pair_references(rng):
+    w = wavy_oneform(rng)
+    v = rand_oneform(rng, 1)
+    b = rand_position(rng, 2, waves=True)
+    assert w.right_mul(b) == reference_right_mul(w, b)
+    assert w.wedge(v) == reference_wedge(w, v)
+    assert v.wedge(w) == reference_wedge(v, w)
+    assert w.exterior_d() == reference_form_d(w)

@@ -8,6 +8,7 @@ import pytest
 
 from kmink import gauge
 from kmink.action import act_derivative, act_f, act_f_lowered
+from kmink.forms import TwoForm
 from kmink.fuzz import rand_polynomial
 from kmink.minkowski import PlaneWave, PositionElement
 from kmink.scalars import I, ScalarValue
@@ -299,3 +300,29 @@ def test_hoisted_invariants_and_divergence_match_reference(g, charged):
     cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
     assert gauge.invariants.__wrapped__(cfg, charged) == reference_invariants(cfg, charged)
     assert gauge.divergence.__wrapped__(cfg, charged) == reference_divergence(cfg, charged)
+
+
+def reference_field_strength(cfg, charged):
+    """F_ij = del_i(A_j) - del_j(A_i) + i [g] A_k [f^k_i(A_j) - f^k_j(A_i)],
+    one `+` per k and a plain product for each A_k term."""
+    factor = I * cfg.g if charged else I
+    A = cfg.A
+    out = {}
+    for i in range(5):
+        for j in range(i + 1, 5):
+            value = act_derivative(i, A[j]) - act_derivative(j, A[i])
+            for k in range(5):
+                inner = act_f(k, i, A[j]) - act_f(k, j, A[i])
+                value = value + (A[k] * inner).scale(factor)
+            if not value.is_zero():
+                out[i, j] = value
+    return TwoForm(out)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("charged", [False, True])
+def test_field_strength_matches_reference(g, charged):
+    cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
+    got = gauge.field_strength.__wrapped__(cfg, charged)
+    assert got == reference_field_strength(cfg, charged)
+    assert not got.is_zero()

@@ -3,7 +3,9 @@ Gaussian-rational coefficients, three wave labels and `W{...}` waves whose
 spatial entries carry E symbols."""
 
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kmink import momentum as mom
@@ -22,9 +24,10 @@ from kmink.minkowski import (
     _lmul_x0,
     _lmul_x0_power,
     _mono_mul,
+    dot,
 )
 from kmink.momentum import MomentumElement
-from kmink.scalars import ScalarValue
+from kmink.scalars import LIMIT, ScalarValue
 from kmink.terms import share
 
 LABELS = (1, 2, 3)
@@ -68,8 +71,8 @@ def waves(draw):
 
 @st.composite
 def position_keys(draw, max_degree=2):
-    a = draw(st.tuples(*[st.integers(0, max_degree)] * 3)
-             .filter(lambda t: sum(t) <= max_degree))
+    a = draw(st.sampled_from([t for t in product(range(max_degree + 1), repeat=3)
+                              if sum(t) <= max_degree]))
     d = draw(st.integers(0, max_degree - sum(a)))
     return (a, d, draw(waves()))
 
@@ -80,6 +83,27 @@ def positions(draw, max_terms=2):
     for _ in range(draw(st.integers(1, max_terms))):
         a, d, w = draw(position_keys())
         acc = acc + PositionElement.monomial(a, d, w, draw(gaussians()))
+    return acc
+
+
+@st.composite
+def scalars(draw):
+    """c1 kappa^n, or c1 kappa^n + c2 E[j]^p: coefficients with one or two
+    monomials, so that products of coefficients have several terms."""
+    acc = draw(gaussians()) * ScalarValue.kappa(draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        e = ScalarValue.E(draw(st.sampled_from(LABELS)), draw(st.integers(-1, 1)))
+        acc = acc + draw(gaussians()) * e
+    return acc
+
+
+@st.composite
+def rich_positions(draw, max_terms=2):
+    """Like `positions`, with `scalars` coefficients."""
+    acc = PositionElement.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        a, d, w = draw(position_keys())
+        acc = acc + PositionElement.monomial(a, d, w, draw(scalars()))
     return acc
 
 
@@ -195,3 +219,77 @@ def test_share_returns_the_first_stored_equal_value(a):
     copy = coeff + ScalarValue.number(0)
     assert share(copy) is share(coeff)
     assert share(1) is not share(ScalarValue.number(1))
+
+
+# -- the contraction kernel ----------------------------------------------------
+
+
+def reference_dot(pairs):
+    """sum x * y written out: every term pair's normal form from `_mono_mul`,
+    scaled with plain ScalarValue `*` and summed with `+`."""
+    out = {}
+    for x, y in pairs:
+        for k1, c1 in x.terms.items():
+            for k2, c2 in y.terms.items():
+                for k3, c3 in _mono_mul(k1, k2):
+                    term = c1 * c2 * c3
+                    out[k3] = out[k3] + term if k3 in out else term
+    return PositionElement({k: c for k, c in out.items() if not c.is_zero()})
+
+
+pair_lists = st.lists(st.tuples(rich_positions(), rich_positions(max_terms=1)),
+                      max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_lists)
+def test_dot_equals_the_written_out_sum(pairs):
+    got = dot(iter(pairs))
+    want = reference_dot(pairs)
+    assert got.terms == want.terms
+    assert got.render() == want.render()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_lists, rich_positions(), rich_positions())
+def test_dot_cancels_a_pair_and_its_negation(pairs, x, y):
+    """A pair plus its negation contributes nothing: no zero coefficient
+    is left behind, alone or beside other pairs."""
+    alone = dot([(x, y), (-x, y)])
+    assert alone.terms == {} and alone.render() == "0"
+    assert dot(pairs + [(x, y), (x.scale(-1), y)]).terms == reference_dot(pairs).terms
+
+
+def test_dot_drops_terms_that_cancel_across_monomial_pairs():
+    """x0 x1 - x1 x0 = (i/kappa) x1: the x1 x0 terms of two different
+    monomial pairs cancel after normal ordering, and no zero is kept."""
+    x0, x1 = PositionElement.x(0), PositionElement.x(1)
+    got = dot([(x0, x1), (-x1, x0)])
+    want = x1.scale(ScalarValue.number(0, 1) * ScalarValue.kappa(-1))
+    assert got.terms == want.terms
+    assert got.render() == want.render() == "1i * kappa^-1 * x1"
+
+
+def test_dot_of_no_pairs_is_zero():
+    assert dot([]).terms == {}
+    assert dot(iter(())).render() == "0"
+
+
+def test_products_past_the_exponent_limit_raise():
+    """A kappa exponent past LIMIT raises through `dot`, `*` and `act`; the
+    last exponent in range still multiplies."""
+    top = PositionElement.scalar(ScalarValue.kappa(LIMIT - 1))
+    kappa = PositionElement.scalar(ScalarValue.kappa(1))
+    x0 = PositionElement.x(0)
+    assert (top * kappa.scale(ScalarValue.kappa(-1))) == top
+    with pytest.raises(ValueError):
+        dot([(top, kappa)])
+    with pytest.raises(ValueError):
+        dot([(x0, x0), (top, kappa)])
+    with pytest.raises(ValueError):
+        top * kappa
+    with pytest.raises(ValueError):
+        x0.scale(ScalarValue.kappa(LIMIT - 1)) * (x0 + kappa)
+    p = MomentumElement.P(0).scale(ScalarValue.kappa(1))
+    with pytest.raises(ValueError):
+        act(p, x0.scale(ScalarValue.kappa(LIMIT - 1)))
