@@ -33,9 +33,9 @@ from functools import lru_cache
 from math import comb
 
 from . import momentum as mom
-from .minkowski import IMK, KEY_UNIT, PositionElement, _contract, _mono_mul
+from .minkowski import IMK, KEY_UNIT, PositionElement
 from .scalars import I, ONE, ScalarValue
-from .terms import TermMap, accumulate, share
+from .terms import TermMap, accumulate, contract, share
 
 MOM_UNIT = ((0, 0, 0), 0, 0)
 _P0 = ((0, 0, 0), 1, 0)
@@ -51,15 +51,6 @@ def _generators(momkey):
     for m in range(3):
         gens += [_PM[m]] * b[m]
     return gens
-
-
-def _mom_add(m1, m2):
-    """Key of the product of two momentum monomials."""
-    return (
-        (m1[0][0] + m2[0][0], m1[0][1] + m2[0][1], m1[0][2] + m2[0][2]),
-        m1[1] + m2[1],
-        m1[2] + m2[2],
-    )
 
 
 @lru_cache(maxsize=200000)
@@ -123,7 +114,7 @@ def _pass_momentum(momkey, poskey):
         out = {}
         for (pos, rem), c in terms.items():
             for p2, r2, c2 in _step(gen, pos):
-                accumulate(out, (p2, _mom_add(r2, rem)), c * c2)
+                accumulate(out, (p2, mom.key_mul(r2, rem)), c * c2)
         terms = out
     return tuple((share(p), share(m), share(c)) for (p, m), c in terms.items())
 
@@ -134,7 +125,7 @@ def act(p, a):
     The vacuum projection of the normal form of p * a: any P power kills
     a term, exponential weights go to 1.
     """
-    return PositionElement(_contract(
+    return PositionElement(contract(
         (ca.terms, _act_monomial(p, poskey)) for poskey, ca in a.terms.items()
     ))
 
@@ -160,7 +151,7 @@ def _act_key(momkey, poskey):
 def _act_monomial(p, poskey):
     """act(p, ·) on one position monomial, as a tuple of (key, ScalarValue)
     pairs with shared keys and coefficients."""
-    out = _contract((cp.terms, _act_key(momkey, poskey)) for momkey, cp in p.terms.items())
+    out = contract((cp.terms, _act_key(momkey, poskey)) for momkey, cp in p.terms.items())
     return tuple((share(k), share(c)) for k, c in out.items())
 
 
@@ -219,8 +210,8 @@ class HeisenbergElement(TermMap):
                 c = c1 * c2
                 for pmid, mmid, cmid in _pass_momentum(m1, p2):
                     cc = c * cmid
-                    mk = _mom_add(mmid, m2)
-                    for pk, cpos in _mono_mul(p1, pmid):
+                    mk = mom.key_mul(mmid, m2)
+                    for pk, cpos in PositionElement.mono_mul(p1, pmid):
                         accumulate(out, (pk, mk), cc * cpos)
         return HeisenbergElement(out)
 

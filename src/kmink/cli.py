@@ -16,9 +16,9 @@ import argparse
 import sys
 
 from . import dirac, suites
-from .expr import ExprError, EvalError, evaluate, parse as parse_expr, render, render_value
+from .expr import (ExprError, EvalError, _act, _ext_d, evaluate, parse as parse_expr,
+                   render, render_value)
 from .minkowski import PositionElement
-from .momentum import MomentumElement
 from .scalars import ScalarValue
 
 
@@ -47,23 +47,13 @@ def _cmd_eval(args):
 
 
 def _cmd_act(args):
-    from .action import act
-
     p = evaluate(parse_expr(args.momentum))
     a = evaluate(parse_expr(args.position))
-    if isinstance(p, ScalarValue):
-        p = MomentumElement.scalar(p)
-    if isinstance(a, ScalarValue):
-        a = PositionElement.scalar(a)
-    if not isinstance(p, MomentumElement) or not isinstance(a, PositionElement):
-        raise EvalError("act needs a momentum expression and a position expression")
-    print(act(p, a).render())
+    print(_act(p, a).render())
     return 0
 
 
 def _cmd_d(args):
-    from .expr import _ext_d
-
     value = evaluate(parse_expr(args.expr))
     print(render_value(_ext_d(value)))
     return 0

@@ -140,35 +140,31 @@ def op_apply(op, psi):
     return IndexedMap(out)
 
 
+def _gamma_sum(rep, coeffs):
+    """gamma^j coeffs[j], summed over the five gamma slots of `rep`."""
+    out = Matrix()
+    for g, p in zip(rep.gammas, coeffs):
+        out = out + op_from_matrix(g, p)
+    return out
+
+
 @lru_cache(maxsize=16)
 def build_dirac(rep):
     """D = gamma^0 del_0 + .. + gamma^3 del_3 + gamma_4 del_4, built once
     per representation."""
-    d = derivatives()
-    out = Matrix()
-    for i, g in enumerate(rep.gammas):
-        out = out + op_from_matrix(g, d[i])
-    return out
+    return _gamma_sum(rep, derivatives())
 
 
 @lru_cache(maxsize=64)
 def clifford_image(i, rep):
     """tau^i_c = gamma^j f^i_j, the matrix operator representing tau^i,
     built once per (i, representation)."""
-    f = f_matrix()
-    out = Matrix()
-    for j, g in enumerate(rep.gammas):
-        out = out + op_from_matrix(g, f[i][j])
-    return out
+    return _gamma_sum(rep, f_matrix()[i])
 
 
 def clifford_image_published(i, rep):
     """gamma^j f_j^i with the metric-lowered slot, kept only for the report."""
-    flow = f_lowered()
-    out = Matrix()
-    for j, g in enumerate(rep.gammas):
-        out = out + op_from_matrix(g, flow[j][i])
-    return out
+    return _gamma_sum(rep, [row[i] for row in f_lowered()])
 
 
 def check_diagram(a, psi, rep):

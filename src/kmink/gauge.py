@@ -43,11 +43,15 @@ class GaugeConfig:
     def __post_init__(self):
         if len(self.A) != 5:
             raise ValueError("a gauge configuration carries five potentials")
+        g = ScalarValue._coerce(self.g)
+        if g is NotImplemented:
+            raise ValueError(f"the charge must be a scalar, not {type(self.g).__name__}")
+        object.__setattr__(self, "g", g)  # equal charges hash equal
 
     @staticmethod
     def from_potentials(*A, g=ONE):
         pots = list(A) + [PositionElement.zero()] * (5 - len(A))
-        return GaugeConfig(tuple(pots), ScalarValue._coerce(g))
+        return GaugeConfig(tuple(pots), g)
 
     def connection_form(self):
         """omega = i A_k tau^k."""

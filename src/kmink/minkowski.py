@@ -18,9 +18,10 @@ then the plane wave.  The product is driven by the closed rewrite rules
 with E_K the Laurent monomial in the E symbols representing exp(K/kappa).
 No infinite series ever appears.
 
-`dot` is the contraction kernel: a sum of products sum x * y sums the
-coefficient products per distinct monomial pair, expands each pair's
-normal form once, and accumulates the result in place.
+`PositionElement.mono_mul` is the normal form of one monomial times
+another.  `dot` sums many products sum x * y: it sums the coefficient
+products per distinct monomial pair, expands each pair's normal form
+once, and contracts the results in place (`terms.contract`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import comb
 
 from .scalars import I, ONE, ZERO, ScalarValue, add_product, from_sum
-from .terms import TensorSquare, TermMap, accumulate, share
+from .terms import TensorSquare, TermMap, accumulate, contract, share
 
 IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
 
@@ -226,21 +227,6 @@ def _mono_mul(key1, key2):
     )
 
 
-def _contract(images):
-    """Sum of c * image over (c, image) pairs, as a {key: ScalarValue} dict:
-    c is a scalar term dict and image a tuple of (key, ScalarValue) pairs
-    (a normal form or an action).  Each output key has one in-place
-    accumulator; the ScalarValues are built once at the end, zeros dropped."""
-    out = {}
-    for c, image in images:
-        for key, ci in image:
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            add_product(acc, c, ci.terms)
-    return {key: s for key, acc in out.items() if (s := from_sum(acc)).terms}
-
-
 def dot(pairs):
     """sum x * y over an iterable of (x, y) PositionElement pairs.
 
@@ -255,7 +241,7 @@ def dot(pairs):
                 if acc is None:
                     acc = groups[key1, key2] = {}
                 add_product(acc, c1.terms, c2.terms)
-    return PositionElement(_contract(
+    return PositionElement(contract(
         (c, _mono_mul(key1, key2)) for (key1, key2), acc in groups.items()
         if (c := from_sum(acc).terms)
     ))
@@ -267,6 +253,8 @@ class PositionElement(TermMap):
     __slots__ = ()
 
     UNIT = KEY_UNIT
+
+    mono_mul = staticmethod(_mono_mul)
 
     # -- constructors ------------------------------------------------------
 
@@ -295,7 +283,7 @@ class PositionElement(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, PositionElement):
-            return PositionElement(_contract(
+            return PositionElement(contract(
                 ((c1 * c2).terms, _mono_mul(key1, key2))
                 for key1, c1 in self.terms.items()
                 for key2, c2 in other.terms.items()
@@ -304,11 +292,14 @@ class PositionElement(TermMap):
             return self.scale(other)
         return NotImplemented
 
-    def star(self):
-        """Antilinear antihomomorphism fixing the generators x^mu."""
+    def _reverse_factors(self, image):
+        """The antimultiplicative map sending each term c x^a x0^d W to
+        c' W' x0^d x^a, with (W', c') = image(a, d, W, c): x^mu goes to
+        itself, up to the sign that `image` puts in c'."""
         out = PositionElement()
         for (a, d, w), c in self.terms.items():
-            piece = PositionElement({((0, 0, 0), 0, w.star()): c.conj()})
+            w2, c2 = image(a, d, w, c)
+            piece = PositionElement({((0, 0, 0), 0, w2): c2})
             if d:
                 piece = piece * PositionElement({((0, 0, 0), d, W_IDENTITY): ONE})
             if a != (0, 0, 0):
@@ -316,20 +307,14 @@ class PositionElement(TermMap):
             out = out + piece
         return out
 
+    def star(self):
+        """Antilinear antihomomorphism fixing the generators x^mu."""
+        return self._reverse_factors(lambda a, d, w, c: (w.star(), c.conj()))
+
     def antipode(self):
         """S(x^mu) = -x^mu extended antimultiplicatively; S(W) = W^-1."""
-        out = PositionElement()
-        for (a, d, w), c in self.terms.items():
-            sign = -1 if (a[0] + a[1] + a[2] + d) % 2 else 1
-            piece = PositionElement(
-                {((0, 0, 0), 0, w.inverse()): c * ScalarValue.number(sign)}
-            )
-            if d:
-                piece = piece * PositionElement({((0, 0, 0), d, W_IDENTITY): ONE})
-            if a != (0, 0, 0):
-                piece = piece * PositionElement({(a, 0, W_IDENTITY): ONE})
-            out = out + piece
-        return out
+        return self._reverse_factors(lambda a, d, w, c: (
+            w.inverse(), c * ScalarValue.number(-1 if (sum(a) + d) % 2 else 1)))
 
     def counit(self):
         """Coefficient of the identity monomial with trivial plane wave."""
@@ -357,7 +342,7 @@ class PositionElement(TermMap):
         return any(not w.is_identity() for (_a, _d, w) in self.terms)
 
     def _render_order(self):
-        return sorted(self.terms, key=lambda k: (k[0], k[1], k[2].time, k[2].render()))
+        return sorted(self.terms, key=_render_key)
 
     def _factors(self, key):
         a, d, w = key
@@ -374,6 +359,12 @@ class PositionElement(TermMap):
         if not w.is_identity():
             factors.append(w.render())
         return factors
+
+
+def _render_key(key):
+    """Sort key of a monomial: coordinate exponents, then the plane wave."""
+    a, d, w = key
+    return a, d, w.time, w.render()
 
 
 def _primitive_power_tensor(gen, n):
@@ -397,17 +388,6 @@ class PositionTensor(TensorSquare):
 
     ELEMENT = PositionElement
 
-    def __mul__(self, other):
-        out = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                right = _mono_mul(r1, r2)
-                c = c1 * c2
-                for kl, cl in _mono_mul(l1, l2):
-                    for kr, cr in right:
-                        accumulate(out, (kl, kr), c * cl * cr)
-        return PositionTensor(out)
-
     def left_counit(self):
         """(counit (x) id), landing back in the algebra."""
         out = {}
@@ -417,4 +397,4 @@ class PositionTensor(TensorSquare):
         return PositionElement(out)
 
     def _render_order(self):
-        return self.terms  # plane waves have no order: keep insertion order
+        return sorted(self.terms, key=lambda lr: (_render_key(lr[0]), _render_key(lr[1])))

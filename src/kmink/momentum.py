@@ -34,6 +34,12 @@ METRIC5 = (1, -1, -1, -1, -1)
 KEY_UNIT = ((0, 0, 0), 0, 0)
 
 
+def key_mul(m1, m2):
+    """Key of the product of two momentum monomials: exponents add."""
+    (b1, d1, l1), (b2, d2, l2) = m1, m2
+    return (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2]), d1 + d2, l1 + l2
+
+
 class MomentumElement(TermMap):
     """Element of the commutative momentum algebra."""
 
@@ -67,17 +73,17 @@ class MomentumElement(TermMap):
 
     # -- ring --------------------------------------------------------------
 
+    @staticmethod
+    def mono_mul(key1, key2):
+        """The product of two monomials, a single monomial: momenta commute."""
+        return ((key_mul(key1, key2), ONE),)
+
     def __mul__(self, other):
         if isinstance(other, MomentumElement):
             out = {}
-            for (b1, d1, l1), c1 in self.terms.items():
-                for (b2, d2, l2), c2 in other.terms.items():
-                    key = (
-                        (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2]),
-                        d1 + d2,
-                        l1 + l2,
-                    )
-                    accumulate(out, key, c1 * c2)
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    accumulate(out, key_mul(k1, k2), c1 * c2)
             return MomentumElement(out)
         if isinstance(other, (int, ScalarValue)):
             return self.scale(other)
@@ -193,39 +199,18 @@ class MomentumTensor(TensorSquare):
 
     ELEMENT = MomentumElement
 
-    def __mul__(self, other):
-        out = {}
-        for ((bl1, dl1, ll1), (br1, dr1, lr1)), c1 in self.terms.items():
-            for ((bl2, dl2, ll2), (br2, dr2, lr2)), c2 in other.terms.items():
-                left = (
-                    (bl1[0] + bl2[0], bl1[1] + bl2[1], bl1[2] + bl2[2]),
-                    dl1 + dl2,
-                    ll1 + ll2,
-                )
-                right = (
-                    (br1[0] + br2[0], br1[1] + br2[1], br1[2] + br2[2]),
-                    dr1 + dr2,
-                    lr1 + lr2,
-                )
-                accumulate(out, (left, right), c1 * c2)
-        return MomentumTensor(out)
-
     def coproduct_left(self):
         """(coproduct (x) id): a three-leg tensor as an IndexedMap keyed by
         triples of monomial keys."""
-        out = {}
-        for (l, r), c in self.terms.items():
-            for (l1, l2), c1 in MomentumElement({l: ONE}).coproduct().terms.items():
-                accumulate(out, (l1, l2, r), c * c1)
-        return IndexedMap(out)
+        return IndexedMap.collect(
+            ((l1, l2, r), c * c1) for (l, r), c in self.terms.items()
+            for (l1, l2), c1 in MomentumElement({l: ONE}).coproduct().terms.items())
 
     def coproduct_right(self):
         """(id (x) coproduct)."""
-        out = {}
-        for (l, r), c in self.terms.items():
-            for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items():
-                accumulate(out, (l, r1, r2), c * c1)
-        return IndexedMap(out)
+        return IndexedMap.collect(
+            ((l, r1, r2), c * c1) for (l, r), c in self.terms.items()
+            for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items())
 
 
 # -- named constants ----------------------------------------------------------

@@ -19,6 +19,8 @@ building or multiplying past that raises ValueError, never a wrong key.
 `decode` turns a key back into (kappa_exp, k exponents, E exponents);
 `render` orders monomials by that tuple.
 
+A ScalarValue is a `terms.TermMap` over these keys with GaussianRational
+coefficients; it keeps its own product, powers, constructors and render.
 Values are immutable and hashable; all operations are pure.  Sums of
 many products are accumulated in place instead: `add_product` adds a
 product into a mutable {key: GaussianRational} dict, and `from_sum`
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
+
+from .terms import TermMap, accumulate
 
 
 class GaussianRational:
@@ -136,9 +140,7 @@ def _gaussian(a, b, d):
     return z
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 # -- packed monomial keys ------------------------------------------------------
 #
@@ -235,18 +237,14 @@ def decode(key):
     return (t & MASK) - LIMIT, ks, es
 
 
-class ScalarValue:
+class ScalarValue(TermMap):
     """Canonical finite sum of coefficient monomials.
 
     `terms` maps monomial keys to nonzero GaussianRational coefficients;
     the empty map is the canonical zero.  Never mutate a ScalarValue.
     """
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-        self._hash = None
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -279,44 +277,42 @@ class ScalarValue:
             return ONE
         return ScalarValue({_power_key(_unit("E", label), exp): GR_ONE})
 
+    @classmethod
+    def scalar(cls, s):
+        """`s` as a ScalarValue: a scalar is its own embedding."""
+        out = cls._coerce(s)
+        if out is NotImplemented:
+            raise TypeError(f"{type(s).__name__} is not a scalar")
+        return out
+
     # -- ring operations ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
+    @classmethod
+    def _coerce(cls, x):
         if isinstance(x, ScalarValue):
             return x
         if isinstance(x, GaussianRational):
-            return ScalarValue.from_gaussian(x)
+            return cls.from_gaussian(x)
         if isinstance(x, (int, Fraction)):
-            return ScalarValue.number(x)
+            return cls.number(x)
         return NotImplemented
 
     def __add__(self, other):
-        other = ScalarValue._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not ScalarValue:
+            other = ScalarValue._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, GR_ZERO) + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            accumulate(out, key, c)
         return ScalarValue(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = ScalarValue._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return ScalarValue._coerce(other) - self
-
-    def __neg__(self):
-        return ScalarValue({k: -c for k, c in self.terms.items()})
+    def scale(self, s):
+        """`self * s`: the core's coefficient-wise scale would multiply a
+        GaussianRational by a ScalarValue."""
+        return self * s
 
     def __mul__(self, other):
         if other.__class__ is not ScalarValue:
@@ -337,10 +333,7 @@ class ScalarValue:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return super().__pow__(n)
 
     def conj(self):
         """i -> -i on coefficients; kappa, k and E symbols denote reals."""
@@ -383,13 +376,8 @@ class ScalarValue:
                         grown.append((_checked(key1 + n * step), c1 * fac))
                 pieces = grown
             for key1, c1 in pieces:
-                if ((key1 + bias) & MASK) - LIMIT < -order:
-                    continue
-                v = out.get(key1, GR_ZERO) + c1
-                if v.is_zero():
-                    out.pop(key1, None)
-                else:
-                    out[key1] = v
+                if ((key1 + bias) & MASK) - LIMIT >= -order:
+                    accumulate(out, key1, c1)
         return ScalarValue(out)
 
     def filter_k_degree(self, max_degree):
@@ -400,20 +388,6 @@ class ScalarValue:
             {key: c for key, c in self.terms.items()
              if sum(((key + bias) >> shift & MASK) - LIMIT for shift in shifts) <= max_degree}
         )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        other = ScalarValue._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
     def __bool__(self):
         return bool(self.terms)
@@ -447,15 +421,8 @@ class ScalarValue:
                 text += " + " + p
         return text
 
-    def __repr__(self):
-        return f"<ScalarValue {self.render()}>"
-
 
 ZERO = ScalarValue()
 ONE = ScalarValue.number(1)
 I = ScalarValue.number(0, 1)
 HALF = ScalarValue.number(Fraction(1, 2))
-
-
-def binomial(n, r):
-    return ScalarValue.number(comb(n, r))

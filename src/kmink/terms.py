@@ -9,7 +9,13 @@ forms.  Values are immutable; never mutate `terms` after
 construction.
 
 A subclass supplies its key layout (the `UNIT` key and how one monomial
-renders and orders), its own `__mul__` and its structure maps.
+renders and orders), its monomial product `mono_mul` (one key times
+another, as (key, coefficient) pairs), its own `__mul__` and its
+structure maps; the coefficient ring `scalars.ScalarValue` is such a
+subclass too, with GaussianRational coefficients.  The core owns
+`contract`, the in-place sum of many coefficient-times-image products
+(sparse accumulation, Monagan and Pearce 2010), and the legwise product
+of every `TensorSquare`.
 
 An `IndexedMap` is the same container over plain index keys (a row, a
 `(row, col)` pair, a name) whose coefficients are algebra elements or
@@ -18,7 +24,7 @@ term maps: one-forms, spinors, 4x4 operators and families of residuals.
 
 from __future__ import annotations
 
-from .scalars import ONE, ScalarValue
+from . import scalars  # read at call time: scalars imports this module
 
 
 # Every value `share` has returned, keyed by (type, value); never evicted.
@@ -43,6 +49,22 @@ def accumulate(out, key, coeff):
         out[key] = v
 
 
+def contract(images):
+    """Sum of c * image over (c, image) pairs, as a {key: ScalarValue} dict:
+    c is a scalar term dict and image a tuple of (key, ScalarValue) pairs
+    (a normal form or an action).  Each output key has one in-place
+    accumulator; the ScalarValues are built once at the end, zeros dropped."""
+    add_product, from_sum = scalars.add_product, scalars.from_sum
+    out = {}
+    for c, image in images:
+        for key, ci in image:
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            add_product(acc, c, ci.terms)
+    return {key: s for key, acc in out.items() if (s := from_sum(acc)).terms}
+
+
 class TermMap:
     """Finite linear combination of monomial keys; see the module docstring."""
 
@@ -65,19 +87,19 @@ class TermMap:
     def scalar(cls, s):
         if cls.UNIT is None:
             raise TypeError(f"{cls.__name__} has no unit to carry a scalar")
-        s = ScalarValue._coerce(s)
+        s = scalars.ScalarValue.scalar(s)
         return cls({} if s.is_zero() else {cls.UNIT: s})
 
     @classmethod
     def one(cls):
-        return cls.scalar(ONE)
+        return cls.scalar(scalars.ONE)
 
     @classmethod
     def _coerce(cls, x):
         """`x` as an element of `cls`, or NotImplemented."""
         if isinstance(x, cls):
             return x
-        if cls.UNIT is not None and isinstance(x, (int, ScalarValue)):
+        if cls.UNIT is not None and isinstance(x, (int, scalars.ScalarValue)):
             return cls.scalar(x)
         return NotImplemented
 
@@ -111,7 +133,7 @@ class TermMap:
 
     def scale(self, s):
         """Multiply every coefficient by the scalar `s`."""
-        s = ScalarValue._coerce(s)
+        s = scalars.ScalarValue._coerce(s)
         if s.is_zero():
             return self.__class__()
         out = {}
@@ -120,7 +142,7 @@ class TermMap:
         return self.__class__(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, ScalarValue)):
+        if isinstance(other, (int, scalars.ScalarValue)):
             return self.scale(other)
         return NotImplemented
 
@@ -178,7 +200,7 @@ class TermMap:
         if not factors:
             return ctext
         mono = " * ".join(factors)
-        return mono if c == ONE else f"{ctext} * {mono}"
+        return mono if c == scalars.ONE else f"{ctext} * {mono}"
 
     def _factors(self, key):
         """Rendered factors of one monomial, empty for the unit."""
@@ -204,21 +226,34 @@ class TensorSquare(TermMap):
                 accumulate(out, (k1, k2), c1 * c2)
         return cls(out)
 
-    def multiply_legs(self, fn_left=None):
+    def __mul__(self, other):
+        """(a (x) b)(c (x) d) = ac (x) bd, each leg through `ELEMENT.mono_mul`."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        mono_mul = self.ELEMENT.mono_mul
+        out = {}
+        for (l1, r1), c1 in self.terms.items():
+            for (l2, r2), c2 in other.terms.items():
+                c, right = c1 * c2, mono_mul(r1, r2)
+                for kl, cl in mono_mul(l1, l2):
+                    ccl = c * cl
+                    for kr, cr in right:
+                        accumulate(out, (kl, kr), ccl * cr)
+        return self.__class__(out)
+
+    def multiply_legs(self, fn_left):
         """m o (fn_left (x) id): transform left legs, then multiply out."""
-        elem = self.ELEMENT
+        elem, one = self.ELEMENT, scalars.ONE
         acc = elem()
         for (l, r), c in self.terms.items():
-            left = elem({l: ONE})
-            if fn_left is not None:
-                left = fn_left(left)
-            acc = acc + (left * elem({r: ONE})).scale(c)
+            acc = acc + (fn_left(elem({l: one})) * elem({r: one})).scale(c)
         return acc
 
     def _render_term(self, key, c):
         l, r = key
-        lt = self.ELEMENT({l: ONE}).render()
-        rt = self.ELEMENT({r: ONE}).render()
+        lt = self.ELEMENT({l: scalars.ONE}).render()
+        rt = self.ELEMENT({r: scalars.ONE}).render()
         return f"({c.render()}) * ({lt}) (x) ({rt})"
 
 

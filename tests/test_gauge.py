@@ -223,11 +223,29 @@ def test_read_config_text():
         gauge.read_config_text("A1 = P0")
 
 
-def test_transform_at_g2_still_covariant_in_charged_convention():
-    cfg = gauge.GaugeConfig(CFG_LINEAR.A, ScalarValue.number(2))
+@pytest.mark.parametrize("g", [ScalarValue.number(2), 2], ids=["scalar", "int"])
+def test_transform_at_g2_still_covariant_in_charged_convention(g):
+    cfg = gauge.GaugeConfig(CFG_LINEAR.A, g)
+    assert isinstance(cfg.g, ScalarValue)
+    assert gauge.gauge_transform(cfg, U1).g == ScalarValue.number(2)
     assert gauge.check_f_covariance(cfg, U1, charged=True).is_zero()
     assert gauge.check_divergence_covariance(cfg, U1, charged=True).is_zero()
     assert gauge.check_invariant_covariance(cfg, U1, charged=True).is_zero()
+
+
+def test_equal_charges_are_one_memo_key():
+    """An int charge is coerced, so it equals and hashes like its scalar."""
+    as_int = gauge.GaugeConfig(CFG_LINEAR.A, 2)
+    as_scalar = gauge.GaugeConfig(CFG_LINEAR.A, ScalarValue.number(2))
+    assert as_int == as_scalar
+    assert hash(as_int) == hash(as_scalar)
+
+
+def test_charge_must_be_a_scalar():
+    with pytest.raises(ValueError):
+        gauge.GaugeConfig(CFG_LINEAR.A, X[0])
+    with pytest.raises(ValueError):
+        gauge.GaugeConfig.from_potentials(X[0], g="2")
 
 
 def test_strength_memo_tells_charges_apart():

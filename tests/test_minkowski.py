@@ -93,6 +93,16 @@ def test_coproduct_primitive_and_grouplike():
     assert w.coproduct() == PositionTensor.outer(w, w)
 
 
+def test_equal_tensors_render_equal():
+    """A tensor renders in a canonical order, not in insertion order."""
+    w = PositionElement.wave(PlaneWave.label(1))
+    first = PositionTensor.outer(X[0], X[1]) + PositionTensor.outer(w, X[0])
+    second = PositionTensor.outer(w, X[0]) + PositionTensor.outer(X[0], X[1])
+    assert first == second
+    assert list(first.terms) != list(second.terms)
+    assert first.render() == second.render()
+
+
 def test_grouplike_rule_against_series_oracle():
     # the exponential of a primitive element is group-like: check the
     # group-like coproduct rule against the order-3 polynomial truncation

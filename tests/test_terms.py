@@ -2,12 +2,26 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmink import dirac
 from kmink.action import word
-from kmink.fuzz import rand_momentum, rand_oneform, rand_position, rand_spinor
-from kmink.scalars import ScalarValue
+from kmink.fuzz import rand_coeff, rand_momentum, rand_oneform, rand_position, rand_spinor
+from kmink.minkowski import PositionElement, PositionTensor
+from kmink.momentum import MomentumTensor
+from kmink.scalars import ONE, ScalarValue
+
+
+def _scalar(rng):
+    """c kappa^n k[j,mu]^e E[j]^p summed over three terms."""
+    acc = ScalarValue()
+    for _ in range(3):
+        j = rng.randint(1, 2)
+        acc = acc + (rand_coeff(rng) * ScalarValue.kappa(rng.randint(-2, 2))
+                     * ScalarValue.k(j, rng.randrange(4), rng.randint(0, 2))
+                     * ScalarValue.E(j, rng.randint(-1, 1)))
+    return acc
 
 
 def _position(rng):
@@ -21,6 +35,16 @@ def _momentum(rng):
 def _heisenberg(rng):
     return word(rand_position(rng, 1, n_terms=2, waves=True),
                 rand_momentum(rng, 1, n_terms=2))
+
+
+def _position_tensor(rng):
+    make = lambda: rand_position(rng, 1, n_terms=2, waves=True)
+    return PositionTensor.outer(make(), make()) + PositionTensor.outer(make(), make())
+
+
+def _momentum_tensor(rng):
+    make = lambda: rand_momentum(rng, 1, n_terms=2)
+    return MomentumTensor.outer(make(), make()) + MomentumTensor.outer(make(), make())
 
 
 def _two_form(rng):
@@ -44,11 +68,13 @@ def _dirac_operator(rng):
     return dirac.clifford_image(rng.randrange(5), REPS[rng.randrange(len(REPS))])
 
 
-UNITAL = (_position, _momentum, _heisenberg)
+UNITAL = (_scalar, _position, _momentum, _heisenberg)
+TENSORS = (_position_tensor, _momentum_tensor)
 
 
 @st.composite
-def pairs(draw, makers=UNITAL + (_two_form, _one_form, _spinor, _dirac_operator)):
+def pairs(draw, makers=UNITAL + TENSORS + (_two_form, _one_form, _spinor,
+                                           _dirac_operator)):
     """Two values of one term-map class, drawn from the fuzz fixtures."""
     make = draw(st.sampled_from(makers))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -80,3 +106,32 @@ def test_zeroth_power_is_the_unit(pair):
     unit = a ** 0
     assert unit == type(a).scalar(1)
     assert unit * a == a == a * unit
+
+
+def test_scalar_embedding_rejects_non_scalars():
+    for bad in (2.5, "x"):
+        with pytest.raises(TypeError):
+            ScalarValue.scalar(bad)
+        with pytest.raises(TypeError):
+            PositionElement.scalar(bad)
+
+
+def _reference_tensor_product(t, u):
+    """t * u written out: outer(l1 l2, r1 r2) scaled by c1 c2 for every pair
+    of terms, with the leg products from the element algebra."""
+    cls, El = type(t), t.ELEMENT
+    acc = cls()
+    for (l1, r1), c1 in t.terms.items():
+        for (l2, r2), c2 in u.terms.items():
+            acc = acc + cls.outer(El({l1: ONE}) * El({l2: ONE}),
+                                  El({r1: ONE}) * El({r2: ONE})).scale(c1 * c2)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs(makers=TENSORS))
+def test_tensor_product_matches_reference(pair):
+    t, u = pair
+    got, want = t * u, _reference_tensor_product(t, u)
+    assert got.terms == want.terms
+    assert got.render() == want.render()
