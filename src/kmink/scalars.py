@@ -22,9 +22,12 @@ building or multiplying past that raises ValueError, never a wrong key.
 A ScalarValue is a `terms.TermMap` over these keys with GaussianRational
 coefficients; it keeps its own product, powers, constructors and render.
 Values are immutable and hashable; all operations are pure.  Sums of
-many products are accumulated in place instead: `add_product` adds a
-product into a mutable {key: GaussianRational} dict, and `from_sum`
-freezes the dict into a ScalarValue once, at the end.
+many products are accumulated in place instead, fraction-free: an
+accumulator is a mutable {key: [a, b, d]} dict of unreduced Gaussian
+rationals (a + b i)/d, `add_product` multiplies and adds on those
+integers, and `from_sum` reduces each entry once and freezes the dict
+into a ScalarValue at the end.  This is the single-denominator integer
+representation of FLINT's fmpq_poly.
 """
 
 from __future__ import annotations
@@ -207,24 +210,66 @@ def _checked(key):
 
 
 def add_product(acc, t1, t2):
-    """Add the product of the term dicts `t1` and `t2` into the mutable
-    {key: GaussianRational} dict `acc` in place.  Every product key passes
-    the guard; sums that vanish stay in `acc` until `from_sum`."""
+    """Add the product of the term dicts `t1` and `t2` into the accumulator
+    `acc` in place and return it.
+
+    An accumulator is a mutable {key: [a, b, d]} dict whose entries are
+    unreduced Gaussian rationals (a + b*i)/d with d > 0: each coefficient
+    product is multiplied out on the integers and added over the common
+    denominator (over lcm(d, d') when the two differ), and nothing is
+    reduced until `from_sum`, which pays one gcd per key.  Keys enter in
+    the order of their first product.  Every product key passes the
+    guard; sums that vanish stay in `acc` until `from_sum`."""
     bias, guard = _BIAS, _GUARD
     get = acc.get
     for k1, c1 in t1.items():
+        a1, b1, d1 = c1.a, c1.b, c1.d
         for k2, c2 in t2.items():
             key = k1 + k2
             if (key + bias) & guard:
                 _overflow()
+            # the fast paths of GaussianRational.__mul__, unreduced
+            a2, b2 = c2.a, c2.b
+            if not b1:
+                a, b = a1 * a2, a1 * b2
+            elif not a1:
+                a, b = -b1 * b2, b1 * a2
+            else:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            d = d1 * c2.d
             v = get(key)
-            acc[key] = c1 * c2 if v is None else v + c1 * c2
+            if v is None:
+                acc[key] = [a, b, d]
+            elif v[2] == d:
+                v[0] += a
+                v[1] += b
+            else:
+                dv = v[2]
+                m = lcm(dv, d)
+                sv, s = m // dv, m // d
+                v[0] = v[0] * sv + a * s
+                v[1] = v[1] * sv + b * s
+                v[2] = m
     return acc
 
 
 def from_sum(acc):
-    """The ScalarValue of an `add_product` accumulator, zero sums dropped."""
-    return ScalarValue({k: c for k, c in acc.items() if c.a or c.b})
+    """The ScalarValue of an `add_product` accumulator: each surviving
+    [a, b, d] reduced once to its canonical GaussianRational, zero sums
+    dropped, keys in accumulator order."""
+    return ScalarValue({k: _gaussian(a, b, d) for k, (a, b, d) in acc.items() if a or b})
+
+
+def _power(x, n, one):
+    """x^n for n >= 0 by squaring and multiplying."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * x
+        n >>= 1
+        if n:
+            x = x * x
+    return acc
 
 
 def decode(key):
@@ -333,7 +378,17 @@ class ScalarValue(TermMap):
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return super().__pow__(n)
+        if len(self.terms) != 1:
+            return _power(self, n, ONE)
+        # A monomial in one step: its key times n, once every field is
+        # checked, since n * key would carry an out-of-range field into the
+        # next one.
+        (key, c), = self.terms.items()
+        t = key + _BIAS
+        for shift in range(0, WIDTH * (len(_UNITS) + 1), WIDTH):
+            if not -LIMIT <= ((t >> shift & MASK) - LIMIT) * n < LIMIT:
+                _overflow()
+        return ScalarValue({key * n: _power(c, n, GR_ONE)})
 
     def conj(self):
         """i -> -i on coefficients; kappa, k and E symbols denote reals."""

@@ -14,7 +14,9 @@ another, as (key, coefficient) pairs), its own `__mul__` and its
 structure maps; the coefficient ring `scalars.ScalarValue` is such a
 subclass too, with GaussianRational coefficients.  The core owns
 `contract`, the in-place sum of many coefficient-times-image products
-(sparse accumulation, Monagan and Pearce 2010), and the legwise product
+(sparse accumulation, Monagan and Pearce 2010): one fraction-free
+`scalars.add_product` accumulator per output key, each coefficient
+reduced once when the sum is frozen.  It also owns the legwise product
 of every `TensorSquare`.
 
 An `IndexedMap` is the same container over plain index keys (a row, a
@@ -53,7 +55,8 @@ def contract(images):
     """Sum of c * image over (c, image) pairs, as a {key: ScalarValue} dict:
     c is a scalar term dict and image a tuple of (key, ScalarValue) pairs
     (a normal form or an action).  Each output key has one in-place
-    accumulator; the ScalarValues are built once at the end, zeros dropped."""
+    `scalars.add_product` accumulator of unreduced integer triples; the
+    ScalarValues are reduced and built once at the end, zeros dropped."""
     add_product, from_sum = scalars.add_product, scalars.from_sum
     out = {}
     for c, image in images:
@@ -231,15 +234,16 @@ class TensorSquare(TermMap):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        mono_mul = self.ELEMENT.mono_mul
+        mono_mul, one = self.ELEMENT.mono_mul, scalars.ONE
         out = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
                 c, right = c1 * c2, mono_mul(r1, r2)
                 for kl, cl in mono_mul(l1, l2):
-                    ccl = c * cl
+                    # momentum monomials multiply with coefficient ONE
+                    ccl = c if cl is one else c * cl
                     for kr, cr in right:
-                        accumulate(out, (kl, kr), ccl * cr)
+                        accumulate(out, (kl, kr), ccl if cr is one else ccl * cr)
         return self.__class__(out)
 
     def multiply_legs(self, fn_left):

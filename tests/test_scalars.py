@@ -6,7 +6,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmink.scalars import LIMIT, GaussianRational, ScalarValue
+from kmink.scalars import LIMIT, GaussianRational, ScalarValue, add_product, from_sum
 
 
 def num(re, im=0):
@@ -353,14 +353,101 @@ def test_packed_filter_k_degree_matches_tuple_model(monos, degree):
 
 def test_exponent_limit_examples():
     assert LIMIT == 2 ** 30
+    half = LIMIT // 2
     assert ScalarValue.kappa(-LIMIT).render() == f"kappa^{-LIMIT}"
     assert ScalarValue.E(4, LIMIT - 1).render() == f"E[4]^{LIMIT - 1}"
     for make in (lambda: ScalarValue.kappa(LIMIT), lambda: ScalarValue.E(1, -LIMIT - 1),
                  lambda: ScalarValue.k(2, 3, LIMIT), lambda: ScalarValue.kappa(-LIMIT).inverse(),
                  lambda: ScalarValue.kappa(LIMIT - 1) * ScalarValue.kappa(1),
                  lambda: ScalarValue.E(3, -LIMIT) * ScalarValue.E(3, -1),
-                 lambda: ScalarValue.k(1, 0, LIMIT - 1) * ScalarValue.k(1, 0)):
+                 lambda: ScalarValue.k(1, 0, LIMIT - 1) * ScalarValue.k(1, 0),
+                 # powers scale every field at once; none may carry into the next
+                 lambda: ScalarValue.kappa(half) ** 2,
+                 lambda: ScalarValue.kappa(half) ** 4,
+                 lambda: ScalarValue.E(2, -half) ** 3,
+                 lambda: (ScalarValue.kappa(-1) * ScalarValue.k(1, 0, half)) ** 2,
+                 lambda: (num(1, 1) * ScalarValue.kappa(half) + num(1)) ** 4):
         with pytest.raises(ValueError, match="out of range"):
             make()
     edge = ScalarValue.kappa(LIMIT - 1) * ScalarValue.kappa(-LIMIT)
     assert edge == ScalarValue.kappa(-1)
+    assert ScalarValue.E(2, -half) ** 2 == ScalarValue.E(2, -LIMIT)
+    assert (num(1, 1) * ScalarValue.kappa(-1)) ** 4 == num(-4) * ScalarValue.kappa(-4)
+
+
+# -- oracle: the fused accumulator against naive GaussianRational sums ---------
+#
+# `add_product` keeps unreduced integer triples and `from_sum` reduces each
+# once; the oracle forms every product and partial sum with the (reduced)
+# GaussianRational operations.  Keys come from a small pool so that products
+# collide, and denominators up to 60 make the accumulated denominators differ.
+
+POOL_KEYS = [next(iter((ScalarValue.kappa(e) * ScalarValue.k(1, 0, f)).terms))
+             for e in (-1, 0, 1) for f in (0, 1)]
+NUMERATORS = st.integers(-6, 6)
+DENOMINATORS = st.integers(1, 60)
+COEFFS = st.one_of(
+    st.builds(lambda n, d: GaussianRational(Fraction(n, d)), NUMERATORS, DENOMINATORS),
+    st.builds(lambda n, d: GaussianRational(0, Fraction(n, d)), NUMERATORS, DENOMINATORS),
+    st.builds(lambda n, m, d, e: GaussianRational(Fraction(n, d), Fraction(m, e)),
+              NUMERATORS, NUMERATORS, DENOMINATORS, DENOMINATORS),
+).filter(lambda c: not c.is_zero())
+TERM_DICTS = st.dictionaries(st.sampled_from(POOL_KEYS), COEFFS, max_size=4)
+
+
+def naive_sum(pairs):
+    out = {}
+    for t1, t2 in pairs:
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                key = k1 + k2
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TERM_DICTS, TERM_DICTS), min_size=1, max_size=4), st.booleans())
+def test_fused_accumulator_matches_naive_sums(pairs, cancel):
+    if cancel:  # the first product again, negated: its keys must cancel
+        t1, t2 = pairs[0]
+        pairs.append(({k: -c for k, c in t1.items()}, t2))
+    acc = {}
+    for t1, t2 in pairs:
+        assert add_product(acc, t1, t2) is acc
+    got = from_sum(acc).terms
+    assert list(got.items()) == list(naive_sum(pairs).items())
+    for c in got.values():
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1 and not c.is_zero()
+
+
+# -- powers: one step for a monomial, square-and-multiply for a sum ------------
+
+def repeated(x, n):
+    acc = num(1)
+    for _ in range(n):
+        acc = acc * x
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(rand_scalars(), st.integers(0, 7))
+def test_power_matches_repeated_multiplication(a, n):
+    assert a ** n == repeated(a, n)
+    for key, c in a.terms.items():
+        mono = ScalarValue({key: c})
+        assert mono ** n == repeated(mono, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(MODEL_MONOMIALS, st.integers(0, 5))
+def test_monomial_power_matches_tuple_model(mono, n):
+    c, kap, ks, es = mono
+    x = engine_of([mono])
+    if not in_range(kap * n, *(e * n for e in ks.values()), *(e * n for e in es.values())):
+        with pytest.raises(ValueError, match="out of range"):
+            x ** n
+        return
+    want = model_of([(Fraction(c) ** n, kap * n, {v: e * n for v, e in ks.items()},
+                      {j: e * n for j, e in es.items()})])
+    assert (x ** n).render() == model_render(want)
+
