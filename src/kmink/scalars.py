@@ -260,18 +260,6 @@ def from_sum(acc):
     return ScalarValue({k: _gaussian(a, b, d) for k, (a, b, d) in acc.items() if a or b})
 
 
-def _power(x, n, one):
-    """x^n for n >= 0 by squaring and multiplying."""
-    acc = one
-    while n:
-        if n & 1:
-            acc = acc * x
-        n >>= 1
-        if n:
-            x = x * x
-    return acc
-
-
 def decode(key):
     """The key as (kappa_exp, ks, es): ks the sorted ((j, mu), e) pairs of
     its k symbols and es the sorted (j, e) pairs of its E symbols, each with
@@ -378,17 +366,16 @@ class ScalarValue(TermMap):
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        if len(self.terms) != 1:
-            return _power(self, n, ONE)
-        # A monomial in one step: its key times n, once every field is
-        # checked, since n * key would carry an out-of-range field into the
-        # next one.
-        (key, c), = self.terms.items()
-        t = key + _BIAS
-        for shift in range(0, WIDTH * (len(_UNITS) + 1), WIDTH):
-            if not -LIMIT <= ((t >> shift & MASK) - LIMIT) * n < LIMIT:
-                _overflow()
-        return ScalarValue({key * n: _power(c, n, GR_ONE)})
+        # square-and-multiply: each square x^(2^j) has 2^j <= n, so it stays
+        # in range whenever the result does
+        acc, x = ONE, self
+        while n:
+            if n & 1:
+                acc = acc * x
+            n >>= 1
+            if n:
+                x = x * x
+        return acc
 
     def conj(self):
         """i -> -i on coefficients; kappa, k and E symbols denote reals."""

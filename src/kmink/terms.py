@@ -234,16 +234,15 @@ class TensorSquare(TermMap):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        mono_mul, one = self.ELEMENT.mono_mul, scalars.ONE
+        mono_mul = self.ELEMENT.mono_mul
         out = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
                 c, right = c1 * c2, mono_mul(r1, r2)
                 for kl, cl in mono_mul(l1, l2):
-                    # momentum monomials multiply with coefficient ONE
-                    ccl = c if cl is one else c * cl
+                    ccl = c * cl
                     for kr, cr in right:
-                        accumulate(out, (kl, kr), ccl if cr is one else ccl * cr)
+                        accumulate(out, (kl, kr), ccl * cr)
         return self.__class__(out)
 
     def multiply_legs(self, fn_left):

@@ -420,7 +420,7 @@ def test_fused_accumulator_matches_naive_sums(pairs, cancel):
         assert c.d > 0 and gcd(c.a, c.b, c.d) == 1 and not c.is_zero()
 
 
-# -- powers: one step for a monomial, square-and-multiply for a sum ------------
+# -- powers: square-and-multiply ---------------------------------------------
 
 def repeated(x, n):
     acc = num(1)
