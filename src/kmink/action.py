@@ -24,16 +24,18 @@ module action, (PQ) |> f = P |> (Q |> f): it applies the generators in
 turn, asking each step only for its pieces with no P remainder, and sends
 an Exp remainder to 1 (the momentum counit), so it never forms a momentum
 remainder.  The full normal form `_pass_momentum`, which keeps
-every remainder, serves mixed words (`HeisenbergElement` products) only.
+every remainder, serves mixed words only: `HeisenbergElement.mono_mul`
+is the memoised normal form of one mixed monomial times another, built
+from `_pass_momentum` and the position `_mono_mul`, and the term-map core
+forms products and sums of products of mixed words from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from . import momentum as mom
-from .minkowski import IMK, KEY_UNIT, PositionElement
+from .minkowski import KEY_UNIT, PositionElement, _mono_mul, binomial_shift
 from .scalars import I, ONE, ScalarValue
 from .terms import TermMap, accumulate, contract, share
 
@@ -69,11 +71,9 @@ def _step(gen, poskey, vacuum=False):
     pieces = []
     if lam:
         # x^a (x0 - i lam/kappa)^t E_K^lam W Exp[lam]
-        shift = ScalarValue.number(-lam) * IMK
         ew = w.e_power(lam)
-        for r in range(t + 1):
-            coeff = ScalarValue.number(comb(t, r)) * (shift ** (t - r)) * ew
-            pieces.append(((a, r, w), gen, coeff))
+        for r, coeff in enumerate(binomial_shift(-lam, t)):
+            pieces.append(((a, r, w), gen, coeff * ew))
     elif d:
         # x^a x0^t W (P_0 + K) - i t x^a x0^(t-1) W
         if not vacuum:
@@ -93,8 +93,7 @@ def _step(gen, poskey, vacuum=False):
         qm = w.spatial[m]
         if not (vacuum and qm.is_zero()):
             ew_inv = w.e_power(-1)
-            for r in range(t + 1):
-                coeff = ScalarValue.number(comb(t, r)) * (IMK ** (t - r))
+            for r, coeff in enumerate(binomial_shift(1, t)):
                 if not vacuum:
                     pieces.append(((a, r, w), gen, coeff * ew_inv))
                 if not qm.is_zero():
@@ -193,32 +192,25 @@ class HeisenbergElement(TermMap):
             return cls.from_momentum(x)
         return super()._coerce(x)
 
+    @staticmethod
+    @lru_cache(maxsize=200000)
+    def mono_mul(key1, key2):
+        """(p1 m1)(p2 m2) = p1 (m1 p2) m2: m1 passes p2 (`_pass_momentum`),
+        each piece's position part multiplies p1 (`_mono_mul`) and its
+        momentum part m2; shared (key, ScalarValue) pairs."""
+        (p1, m1), (p2, m2) = key1, key2
+        images = []
+        for pmid, mmid, cmid in _pass_momentum(m1, p2):
+            mk = mom.key_mul(mmid, m2)
+            images.append((cmid.terms, tuple(((pk, mk), c) for pk, c in _mono_mul(p1, pmid))))
+        return tuple((share(k), share(c)) for k, c in contract(images).items())
+
     @classmethod
     def coerce(cls, x):
         out = cls._coerce(x)
         if out is NotImplemented:
             raise TypeError(f"cannot interpret {type(x).__name__} as a mixed word")
         return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        other = HeisenbergElement.coerce(other)
-        out = {}
-        for (p1, m1), c1 in self.terms.items():
-            for (p2, m2), c2 in other.terms.items():
-                c = c1 * c2
-                for pmid, mmid, cmid in _pass_momentum(m1, p2):
-                    cc = c * cmid
-                    mk = mom.key_mul(mmid, m2)
-                    for pk, cpos in PositionElement.mono_mul(p1, pmid):
-                        accumulate(out, (pk, mk), cc * cpos)
-        return HeisenbergElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        return HeisenbergElement.coerce(other) * self
 
     def commutator(self, other):
         other = HeisenbergElement.coerce(other)
@@ -248,6 +240,6 @@ def word(*factors):
     """Normal-order a product of position/momentum factors left to right."""
     acc = HeisenbergElement.one()
     for f in factors:
-        acc = acc * HeisenbergElement.coerce(f)
+        acc = acc * f
     return acc
 

@@ -17,7 +17,9 @@ Every index contraction of products -- the sum over k in F_ij, the
 divergence correction, the invariants C and C_pm, the covariance
 right-hand sides and the unitarity collapse -- is one `minkowski.dot`
 per output component, with factors shared by all terms (U F_kl, U
-nabla_m F^{mn}) multiplied once outside the index loops.
+nabla_m F^{mn}) multiplied once outside the index loops.  The mixed-word
+sums of the covariant derivative and its commutator identity are one
+`HeisenbergElement.dot` each.
 """
 
 from __future__ import annotations
@@ -189,17 +191,11 @@ def check_f_covariance(cfg, u, charged=False):
 
 def covariant_derivative_op(cfg, k, charged=True):
     """nabla_k = del_k + i g A_j f^j_k as a normal-ordered mixed word."""
-    del_k = HeisenbergElement.from_momentum(derivatives()[k])
-    acc = del_k
-    f = f_matrix()
-    for j in range(5):
-        if cfg.A[j].is_zero():
-            continue
-        acc = acc + (
-            HeisenbergElement.from_position(cfg.A[j])
-            * HeisenbergElement.from_momentum(f[j][k])
-        ).scale(I * cfg.g)
-    return acc
+    f, ig = f_matrix(), I * cfg.g
+    quad = HeisenbergElement.dot(
+        (HeisenbergElement.from_position(A_j.scale(ig)), HeisenbergElement.from_momentum(f[j][k]))
+        for j, A_j in enumerate(cfg.A) if not A_j.is_zero())
+    return HeisenbergElement.from_momentum(derivatives()[k]) + quad
 
 
 def apply_covariant_derivative(cfg, k, a):
@@ -218,16 +214,11 @@ def check_commutator_identity(cfg, i, j):
     lhs = nb_i * nb_j - nb_j * nb_i
     f = f_matrix()
     strength = field_strength(cfg, charged=True)
-    rhs = HeisenbergElement()
-    for m in range(5):
-        for n in range(5):
-            fmn = strength.component(m, n)
-            if fmn.is_zero():
-                continue
-            rhs = rhs + (
-                HeisenbergElement.from_position(fmn)
-                * HeisenbergElement.from_momentum(f[m][i] * f[n][j])
-            )
+    rhs = HeisenbergElement.dot(
+        (HeisenbergElement.from_position(fmn),
+         HeisenbergElement.from_momentum(f[m][i] * f[n][j]))
+        for m in range(5) for n in range(5)
+        if not (fmn := strength.component(m, n)).is_zero())
     return lhs - rhs.scale(I * cfg.g)
 
 

@@ -19,9 +19,8 @@ with E_K the Laurent monomial in the E symbols representing exp(K/kappa).
 No infinite series ever appears.
 
 `PositionElement.mono_mul` is the normal form of one monomial times
-another.  `dot` sums many products sum x * y: it sums the coefficient
-products per distinct monomial pair, expands each pair's normal form
-once, and contracts the results in place (`terms.contract`).
+another; the product, `dot` (many products sum x * y) and the coproduct
+come from it and the generator images through the term-map core.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .scalars import I, ONE, ZERO, ScalarValue, add_product, from_sum
-from .terms import TensorSquare, TermMap, accumulate, contract, share
+from .scalars import I, ONE, ZERO, ScalarValue
+from .terms import TensorSquare, TermMap, accumulate, share
 
 IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
 
@@ -143,6 +142,19 @@ def _lmul_x0(terms):
     return out
 
 
+@lru_cache(maxsize=4096)
+def binomial_shift(n, t):
+    """The coefficients of (x^0 + s)^t = sum_r C(t, r) s^(t-r) x0^r for the
+    shift s = n i/kappa, as a tuple indexed by r, each power of s one
+    product after the last: the one binomial expansion of the engine."""
+    out, power, shift = [], ONE, ScalarValue.number(n) * IMK
+    for r in range(t, -1, -1):
+        out.append(share(ScalarValue.number(comb(t, r)) * power))
+        if r:
+            power = power * shift
+    return tuple(reversed(out))
+
+
 def _lmul_x0_power(n, terms):
     """Multiply from the left by (x^0)^n: x^0 x^a = x^a (x^0 + i|a|/kappa)
     and x^0 meets no wave, so each term expands binomially."""
@@ -152,10 +164,9 @@ def _lmul_x0_power(n, terms):
         if not na:
             accumulate(out, (a, d + n, w), c)
             continue
-        shift = ScalarValue.number(na) * IMK
+        coeffs = binomial_shift(na, n)
         for r in range(n, -1, -1):
-            coeff = ScalarValue.number(comb(n, r)) * shift ** (n - r)
-            accumulate(out, (a, d + r, w), c * coeff)
+            accumulate(out, (a, d + r, w), c * coeffs[r])
     return out
 
 
@@ -227,26 +238,6 @@ def _mono_mul(key1, key2):
     )
 
 
-def dot(pairs):
-    """sum x * y over an iterable of (x, y) PositionElement pairs.
-
-    The coefficient products are first summed per distinct monomial pair,
-    so each pair's normal form is expanded once however many (x, y) share
-    it; a pair whose products cancel is never expanded."""
-    groups = {}
-    for x, y in pairs:
-        for key1, c1 in x.terms.items():
-            for key2, c2 in y.terms.items():
-                acc = groups.get((key1, key2))
-                if acc is None:
-                    acc = groups[key1, key2] = {}
-                add_product(acc, c1.terms, c2.terms)
-    return PositionElement(contract(
-        (c, _mono_mul(key1, key2)) for (key1, key2), acc in groups.items()
-        if (c := from_sum(acc).terms)
-    ))
-
-
 class PositionElement(TermMap):
     """Normal-ordered element of the kappa-Minkowski algebra."""
 
@@ -281,31 +272,19 @@ class PositionElement(TermMap):
 
     # -- algebra -------------------------------------------------------------
 
+    # The core's product, defined on this class because benchmarks/traced.py
+    # times the position product under the name `PositionElement.__mul__`.
     def __mul__(self, other):
-        if isinstance(other, PositionElement):
-            return PositionElement(contract(
-                ((c1 * c2).terms, _mono_mul(key1, key2))
-                for key1, c1 in self.terms.items()
-                for key2, c2 in other.terms.items()
-            ))
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        return NotImplemented
+        return TermMap.__mul__(self, other)
 
     def _reverse_factors(self, image):
         """The antimultiplicative map sending each term c x^a x0^d W to
         c' W' x0^d x^a, with (W', c') = image(a, d, W, c): x^mu goes to
         itself, up to the sign that `image` puts in c'."""
-        out = PositionElement()
-        for (a, d, w), c in self.terms.items():
-            w2, c2 = image(a, d, w, c)
-            piece = PositionElement({((0, 0, 0), 0, w2): c2})
-            if d:
-                piece = piece * PositionElement({((0, 0, 0), d, W_IDENTITY): ONE})
-            if a != (0, 0, 0):
-                piece = piece * PositionElement({(a, 0, W_IDENTITY): ONE})
-            out = out + piece
-        return out
+        return PositionElement.dot(
+            (PositionElement({((0, 0, 0), 0, w2): c2}),
+             PositionElement(dict(_mono_mul(((0, 0, 0), d, W_IDENTITY), (a, 0, W_IDENTITY)))))
+            for (a, d, w), c in self.terms.items() for w2, c2 in [image(a, d, w, c)])
 
     def star(self):
         """Antilinear antihomomorphism fixing the generators x^mu."""
@@ -319,22 +298,6 @@ class PositionElement(TermMap):
     def counit(self):
         """Coefficient of the identity monomial with trivial plane wave."""
         return self.terms.get(KEY_UNIT, ZERO)
-
-    def coproduct(self):
-        """Algebra map with primitive x^mu and group-like plane waves."""
-        out = PositionTensor()
-        for (a, d, w), c in self.terms.items():
-            t = PositionTensor({(KEY_UNIT, KEY_UNIT): c})
-            for m in (1, 2, 3):
-                if a[m - 1]:
-                    t = t * _primitive_power_tensor(PositionElement.x(m), a[m - 1])
-            if d:
-                t = t * _primitive_power_tensor(PositionElement.x(0), d)
-            if not w.is_identity():
-                key = ((0, 0, 0), 0, w)
-                t = t * PositionTensor({(key, key): ONE})
-            out = out + t
-        return out
 
     # -- inspection ----------------------------------------------------------
 
@@ -367,26 +330,13 @@ def _render_key(key):
     return a, d, w.time, w.render()
 
 
-def _primitive_power_tensor(gen, n):
-    """(gen (x) 1 + 1 (x) gen)^n expanded binomially (the summands commute)."""
-    key = next(iter(gen.terms))
-    out = {}
-    for r in range(n + 1):
-        out[(_power_key(key, r), _power_key(key, n - r))] = ScalarValue.number(comb(n, r))
-    return PositionTensor(out)
-
-
-def _power_key(key, n):
-    a, d, _w = key
-    return ((a[0] * n, a[1] * n, a[2] * n), d * n, W_IDENTITY)
-
-
 class PositionTensor(TensorSquare):
     """Element of the tensor square with componentwise product."""
 
     __slots__ = ()
 
     ELEMENT = PositionElement
+    UNIT = (KEY_UNIT, KEY_UNIT)
 
     def left_counit(self):
         """(counit (x) id), landing back in the algebra."""
@@ -398,3 +348,10 @@ class PositionTensor(TensorSquare):
 
     def _render_order(self):
         return sorted(self.terms, key=lambda lr: (_render_key(lr[0]), _render_key(lr[1])))
+
+
+PositionElement.TENSOR = PositionTensor
+dot = PositionElement.dot
+# The coproduct images of x^1, x^2, x^3 and x^0, all primitive.
+PositionElement.GENERATOR_IMAGES = tuple(PositionTensor.primitive(PositionElement.x(mu))
+                                         for mu in (1, 2, 3, 0))

@@ -11,7 +11,9 @@ with integer weight lam.  The coproduct is deformed,
 
 and the hyperbolic functions of P_0/kappa are always stored expanded in
 the weight basis, never as atomic functions, so equality is term-map
-comparison.
+comparison.  The product (`key_mul`: exponents add) and these generator
+images are all this module states; the term-map core builds the product,
+sums of products and the coproduct from them.
 
 This module also builds the named constants of the calculus: the 5x5
 f-matrix, the derivatives del[0..4], the vector fields e[0..4] and the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
 from .terms import IndexedMap, TensorSquare, TermMap, accumulate
@@ -78,33 +80,13 @@ class MomentumElement(TermMap):
         """The product of two monomials, a single monomial: momenta commute."""
         return ((key_mul(key1, key2), ONE),)
 
+    # The core's product and coproduct, defined on this class because
+    # benchmarks/traced.py times them under these names.
     def __mul__(self, other):
-        if isinstance(other, MomentumElement):
-            out = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    accumulate(out, key_mul(k1, k2), c1 * c2)
-            return MomentumElement(out)
-        if isinstance(other, (int, ScalarValue)):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- Hopf structure ------------------------------------------------------
+        return TermMap.__mul__(self, other)
 
     def coproduct(self):
-        out = MomentumTensor()
-        for (b, d, lam), c in self.terms.items():
-            t = MomentumTensor({(KEY_UNIT, KEY_UNIT): c})
-            for m in (1, 2, 3):
-                if b[m - 1]:
-                    t = t * _coproduct_pm_power(m, b[m - 1])
-            if d:
-                t = t * _coproduct_p0_power(d)
-            if lam:
-                key = ((0, 0, 0), 0, lam)
-                t = t * MomentumTensor({(key, key): ONE})
-            out = out + t
-        return out
+        return TermMap.coproduct(self)
 
     def antipode(self):
         """S(P_0) = -P_0, S(P_m) = -exp(P_0/kappa) P_m, S(exp(l)) = exp(-l)."""
@@ -170,34 +152,13 @@ class MomentumElement(TermMap):
         return factors
 
 
-def _coproduct_p0_power(d):
-    out = {}
-    for r in range(d + 1):
-        out[(((0, 0, 0), r, 0), ((0, 0, 0), d - r, 0))] = ScalarValue.number(comb(d, r))
-    return MomentumTensor(out)
-
-
-def _coproduct_pm_power(m, n):
-    """(P_m (x) 1 + exp(-P_0/kappa) (x) P_m)^n, binomial in the commutative
-    tensor square."""
-    out = {}
-    for r in range(n + 1):
-        bl = [0, 0, 0]
-        bl[m - 1] = r
-        br = [0, 0, 0]
-        br[m - 1] = n - r
-        left = (tuple(bl), 0, -(n - r))
-        right = (tuple(br), 0, 0)
-        out[(left, right)] = ScalarValue.number(comb(n, r))
-    return MomentumTensor(out)
-
-
 class MomentumTensor(TensorSquare):
     """Element of the tensor square of the momentum algebra."""
 
     __slots__ = ()
 
     ELEMENT = MomentumElement
+    UNIT = (KEY_UNIT, KEY_UNIT)
 
     def coproduct_left(self):
         """(coproduct (x) id): a three-leg tensor as an IndexedMap keyed by
@@ -211,6 +172,15 @@ class MomentumTensor(TensorSquare):
         return IndexedMap.collect(
             ((l, r1, r2), c * c1) for (l, r), c in self.terms.items()
             for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items())
+
+
+MomentumElement.TENSOR = MomentumTensor
+# The coproduct images of P_1, P_2, P_3 (P_m (x) 1 + exp(-P_0/kappa) (x) P_m)
+# and of the primitive P_0.
+MomentumElement.GENERATOR_IMAGES = tuple(
+    MomentumTensor.outer(MomentumElement.P(m), MomentumElement.one())
+    + MomentumTensor.outer(MomentumElement.exp_weight(-1), MomentumElement.P(m))
+    for m in (1, 2, 3)) + (MomentumTensor.primitive(MomentumElement.P(0)),)
 
 
 # -- named constants ----------------------------------------------------------
@@ -228,10 +198,7 @@ def sh():
 
 def p_squared():
     """P_1^2 + P_2^2 + P_3^2."""
-    acc = MomentumElement.zero()
-    for m in (1, 2, 3):
-        acc = acc + MomentumElement.P(m) * MomentumElement.P(m)
-    return acc
+    return MomentumElement.dot((MomentumElement.P(m), MomentumElement.P(m)) for m in (1, 2, 3))
 
 
 def _u():
@@ -307,10 +274,7 @@ def vector_fields():
 def box():
     """The deformed massless wave operator g^{mu nu} e_mu e_nu (4d sum)."""
     e = vector_fields()
-    acc = MomentumElement.zero()
-    for mu in range(4):
-        acc = acc + (e[mu] * e[mu]).scale(METRIC5[mu])
-    return acc
+    return MomentumElement.dot((e[mu].scale(METRIC5[mu]), e[mu]) for mu in range(4))
 
 
 def kronecker(i, j):
@@ -329,19 +293,14 @@ def verify_f_identities():
     f = f_matrix()
     flow = f_lowered()
     results = []
+    dot = MomentumElement.dot
     for j in range(5):
         for i in range(5):
-            acc = MomentumElement.zero()
-            for k in range(5):
-                acc = acc + flow[k][j] * f[k][i]
-            res = acc - kronecker(i, j)
+            res = dot((flow[k][j], f[k][i]) for k in range(5)) - kronecker(i, j)
             results.append((f"f_k^{j} f^k_{i} = delta", "1.25", res))
     for j in range(5):
         for i in range(5):
-            acc = MomentumElement.zero()
-            for k in range(5):
-                acc = acc + f[j][k] * flow[i][k]
-            res = acc - kronecker(i, j)
+            res = dot((f[j][k], flow[i][k]) for k in range(5)) - kronecker(i, j)
             results.append((f"f^{j}_k f_{i}^k = delta", "1.26", res))
     for i in range(5):
         for k in range(5):
@@ -372,10 +331,7 @@ def verify_box_identities():
     results = []
     res1 = box() - MomentumElement.scalar(ScalarValue.kappa(2)) - e[4] * e[4]
     results.append(("box = kappa^2 + (e^4)^2", "1.12", res1))
-    acc = d[0] * d[0]
-    for m in (1, 2, 3):
-        acc = acc - d[m] * d[m]
-    res2 = acc - box()
+    res2 = MomentumElement.dot((d[m].scale(METRIC5[m]), d[m]) for m in range(4)) - box()
     results.append(("del_0^2 - sum del_m^2 = box", "2.9", res2))
     limit = box().kappa_expand(0)
     results.append(

@@ -36,7 +36,7 @@ from bisect import insort
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .terms import TermMap, accumulate
+from .terms import TermMap, accumulate, share
 
 
 class GaussianRational:
@@ -465,6 +465,6 @@ class ScalarValue(TermMap):
 
 
 ZERO = ScalarValue()
-ONE = ScalarValue.number(1)
+ONE = share(ScalarValue.number(1))  # so a shared unit coefficient `is ONE`
 I = ScalarValue.number(0, 1)
 HALF = ScalarValue.number(Fraction(1, 2))

@@ -208,3 +208,15 @@ def test_heisenberg_associativity():
             words.append(h)
         h1, h2, h3 = words
         assert (h1 * h2) * h3 == h1 * (h2 * h3)
+
+
+def test_mixed_word_products_are_composed_operators():
+    """Representation oracle: (u v)(a) = u(v(a)) for wave-carrying words
+    x p and elements a.  `apply` only acts and multiplies positions, so it
+    shares no code with the mixed-word normal form that forms u v."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        u, v = (word(rand_position(rng, 2, waves=True), rand_momentum(rng, 2))
+                for _ in range(2))
+        a = rand_position(rng, 2, waves=True)
+        assert (u * v).apply(a) == u.apply(v.apply(a)), seed

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kmink import dirac
 from kmink.action import word
-from kmink.fuzz import rand_coeff, rand_momentum, rand_oneform, rand_position, rand_spinor
+from kmink.fuzz import (rand_coeff, rand_momentum, rand_oneform, rand_polynomial,
+                        rand_position, rand_spinor)
 from kmink.minkowski import PositionElement, PositionTensor
 from kmink.momentum import MomentumTensor
 from kmink.scalars import ONE, ScalarValue
@@ -135,3 +136,47 @@ def test_tensor_product_matches_reference(pair):
     got, want = t * u, _reference_tensor_product(t, u)
     assert got.terms == want.terms
     assert got.render() == want.render()
+
+
+def _reference_dot(cls, pairs):
+    """sum x * y written out: every term pair's normal form from
+    `cls.mono_mul`, scaled with plain ScalarValue `*` and summed with `+`."""
+    out = {}
+    for x, y in pairs:
+        for k1, c1 in x.terms.items():
+            for k2, c2 in y.terms.items():
+                for k3, c3 in cls.mono_mul(k1, k2):
+                    term = c1 * c2 * c3
+                    out[k3] = out[k3] + term if k3 in out else term
+    return cls({k: c for k, c in out.items() if not c.is_zero()})
+
+
+ALGEBRAS = (_position, _momentum, _heisenberg) + TENSORS
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs(makers=ALGEBRAS))
+def test_product_and_dot_match_the_written_out_sum(pair):
+    """The core's product and sum of products, on every algebra that
+    states a `mono_mul`, against the sum over term pairs; a pair and its
+    negation cancel."""
+    x, y = pair
+    cls = type(x)
+    got, want = x * y, _reference_dot(cls, [(x, y)])
+    assert got.terms == want.terms
+    assert got.render() == want.render()
+    listed = [(x, y), (y, x), (x, x), (y, -y)]
+    assert cls.dot(iter(listed)).terms == _reference_dot(cls, listed).terms
+    assert cls.dot([(x, y), (-x, y)]).terms == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((rand_polynomial, rand_position, rand_momentum)),
+       st.integers(0, 2**32 - 1))
+def test_coproduct_is_an_algebra_map(make, seed):
+    """Delta(ab) = Delta(a) Delta(b), the law that lets one coproduct
+    extend the generator images to every monomial."""
+    rng = random.Random(seed)
+    kwargs = {"waves": True} if make is rand_position else {}
+    a, b = (make(rng, 2, n_terms=2, **kwargs) for _ in range(2))
+    assert (a * b).coproduct() == a.coproduct() * b.coproduct()
