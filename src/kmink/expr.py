@@ -208,8 +208,10 @@ _BINARY_FUNCS = {"wedge": Wedge, "act": Act}
 # recursion limit.
 MAX_DEPTH = 100
 
-# Largest |exponent| that parse accepts: a power is evaluated as repeated
-# products, in time linear in the exponent.
+# Largest |exponent| that parse accepts.  It caps the number of products a
+# power takes, not its work: a scalar power squares and multiplies (about
+# 2 log2 n products), an element power takes n - 1 products whose
+# coefficients grow with n, so its time grows faster than linearly in n.
 MAX_EXPONENT = 1000
 
 

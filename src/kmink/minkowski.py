@@ -8,19 +8,30 @@ where W = exp(i q.x_spatial) * exp(i K x^0) is an ordered plane wave
 (spatial factor to the left), q is a triple of scalar entries and K an
 integer combination of the base time symbols k[j,0].  Normal order is
 canonical: spatial coordinates (mutually commuting), then x^0 powers,
-then the plane wave.  The product is driven by the closed rewrite rules
+then the plane wave.  The commutation rules
 
     x^0 x^m           = x^m (x^0 + i/kappa)
     x^0 exp(i q.x)    = exp(i q.x) (x^0 - (1/kappa) q.x)
     exp(i K x^0) x^m  = E_K^-1 x^m exp(i K x^0)
     exp(i K x^0) exp(i q.x) = exp(i E_K^-1 q.x) exp(i K x^0)
 
-with E_K the Laurent monomial in the E symbols representing exp(K/kappa).
-No infinite series ever appears.
+with E_K the Laurent monomial in the E symbols representing exp(K/kappa),
+compose into one closed normal form for a product of two monomials:
 
-`PositionElement.mono_mul` is the normal form of one monomial times
-another; the product, `dot` (many products sum x * y) and the coproduct
-come from it and the generator images through the term-map core.
+    x^a x0^d W  x^b x0^t V
+        = E_K^-|b| x^(a+b) (x0 + i|b|/kappa)^d (x0 + q.x/kappa)^t (W V)
+
+for W with momentum (q, K).  The waves multiply by the group law of the
+bicrossproduct (Majid and Ruegg, Phys. Lett. B 334 (1994) 348)
+
+    (S_q T_K)(S_v T_L) = S_(q + E_K^-1 v) T_(K+L),
+
+S_q = exp(i q.x) and T_K = exp(i K x^0); a wave is interned, one instance
+per value.  No infinite series ever appears.
+
+`PositionElement.mono_mul` is that normal form; the product, `dot` (many
+products sum x * y) and the coproduct come from it and the generator
+images through the term-map core.
 """
 
 from __future__ import annotations
@@ -31,9 +42,14 @@ from math import comb
 from .scalars import I, ONE, ZERO, ScalarValue
 from .terms import TensorSquare, TermMap, accumulate, share
 
-IMK = I * ScalarValue.kappa(-1)  # i/kappa, the structure constant of the algebra
+_KAPPA_INV = ScalarValue.kappa(-1)
+IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
 
 _ZSPATIAL = (ZERO, ZERO, ZERO)
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# Every plane wave built so far, keyed by its normalised (spatial, time).
+_WAVES = {}
 
 
 class PlaneWave:
@@ -41,15 +57,23 @@ class PlaneWave:
 
     `spatial` is a triple of ScalarValue entries (products of k and E
     symbols appear after rescaling); `time` is a sorted tuple of
-    (label, integer) pairs denoting K = sum n_j * k[j,0].
+    (label, integer) pairs denoting K = sum n_j * k[j,0].  Construction
+    returns the one instance for each value, so waves compare and hash by
+    identity.
     """
 
-    __slots__ = ("spatial", "time", "_hash")
+    __slots__ = ("spatial", "time")
 
-    def __init__(self, spatial=_ZSPATIAL, time=()):
-        self.spatial = tuple(spatial)
-        self.time = tuple(sorted((j, n) for j, n in time if n))
-        self._hash = None
+    def __new__(cls, spatial=_ZSPATIAL, time=()):
+        counts = {}
+        for j, n in time:
+            counts[j] = counts.get(j, 0) + n
+        key = (tuple(spatial), tuple(sorted((j, n) for j, n in counts.items() if n)))
+        wave = _WAVES.get(key)
+        if wave is None:
+            wave = _WAVES[key] = object.__new__(cls)
+            wave.spatial, wave.time = key
+        return wave
 
     @staticmethod
     def label(j):
@@ -59,7 +83,7 @@ class PlaneWave:
         )
 
     def is_identity(self):
-        return not self.time and all(s.is_zero() for s in self.spatial)
+        return self is W_IDENTITY
 
     def time_scalar(self):
         """K as a ScalarValue, sum of n_j * k[j,0]."""
@@ -75,6 +99,16 @@ class PlaneWave:
             acc = acc * ScalarValue.E(j, p * n)
         return acc
 
+    def __mul__(self, other):
+        """The group law (S_q T_K)(S_v T_L) = S_(q + E_K^-1 v) T_(K+L)."""
+        if other is W_IDENTITY:
+            return self
+        if self is W_IDENTITY:
+            return other
+        ek_inv = self.e_power(-1)
+        return PlaneWave(tuple(q + ek_inv * v for q, v in zip(self.spatial, other.spatial)),
+                         self.time + other.time)
+
     def inverse(self):
         """W^-1 = W(-E_K q, -K); equals star(W) for real momenta."""
         ek = self.e_power(1)
@@ -84,19 +118,8 @@ class PlaneWave:
         )
 
     def star(self):
-        ek = self.e_power(1)
-        return PlaneWave(
-            tuple(-(ek * s.conj()) for s in self.spatial),
-            tuple((j, -n) for j, n in self.time),
-        )
-
-    def __eq__(self, other):
-        return self.spatial == other.spatial and self.time == other.time
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.spatial, self.time))
-        return self._hash
+        """W(q, K)* = W(q*, K)^-1, with E and k symbols real."""
+        return PlaneWave(tuple(s.conj() for s in self.spatial), self.time).inverse()
 
     def render(self):
         if self.is_identity():
@@ -117,31 +140,6 @@ W_IDENTITY = PlaneWave()
 KEY_UNIT = ((0, 0, 0), 0, W_IDENTITY)
 
 
-def _merge_time(t1, t2):
-    acc = dict(t1)
-    for j, n in t2:
-        v = acc.get(j, 0) + n
-        if v:
-            acc[j] = v
-        else:
-            del acc[j]
-    return tuple(sorted(acc.items()))
-
-
-# -- left multiplication by single canonical factors -------------------------
-# Each takes and returns a term dict {(a, d, W): ScalarValue}.
-
-
-def _lmul_x0(terms):
-    out = {}
-    for (a, d, w), c in terms.items():
-        accumulate(out, (a, d + 1, w), c)
-        na = a[0] + a[1] + a[2]
-        if na:
-            accumulate(out, (a, d, w), c * ScalarValue.number(na) * IMK)
-    return out
-
-
 @lru_cache(maxsize=4096)
 def binomial_shift(n, t):
     """The coefficients of (x^0 + s)^t = sum_r C(t, r) s^(t-r) x0^r for the
@@ -155,87 +153,37 @@ def binomial_shift(n, t):
     return tuple(reversed(out))
 
 
-def _lmul_x0_power(n, terms):
-    """Multiply from the left by (x^0)^n: x^0 x^a = x^a (x^0 + i|a|/kappa)
-    and x^0 meets no wave, so each term expands binomially."""
-    out = {}
-    for (a, d, w), c in terms.items():
-        na = a[0] + a[1] + a[2]
-        if not na:
-            accumulate(out, (a, d + n, w), c)
-            continue
-        coeffs = binomial_shift(na, n)
-        for r in range(n, -1, -1):
-            accumulate(out, (a, d + r, w), c * coeffs[r])
-    return out
-
-
-def _lmul_xm(m, terms):
-    out = {}
-    for (a, d, w), c in terms.items():
-        na = list(a)
-        na[m - 1] += 1
-        accumulate(out, (tuple(na), d, w), c)
-    return out
-
-
-def _lmul_time_exp(time, terms):
-    """Multiply from the left by exp(i K x^0), K given as a time tuple."""
-    if not time:
-        return dict(terms)
-    probe = PlaneWave((ZERO, ZERO, ZERO), time)
-    ek_inv = probe.e_power(-1)
-    out = {}
-    for (a, d, w), c in terms.items():
-        na = a[0] + a[1] + a[2]
-        coeff = c * probe.e_power(-na) if na else c
-        spatial = tuple(ek_inv * s for s in w.spatial)
-        accumulate(out, (a, d, PlaneWave(spatial, _merge_time(time, w.time))), coeff)
-    return out
-
-
-def _lmul_spatial_exp(q, terms):
-    """Multiply from the left by exp(i q.x_spatial)."""
-    if all(s.is_zero() for s in q):
-        return dict(terms)
-    out = {}
-    qk = tuple(ScalarValue.kappa(-1) * s for s in q)
-    for (a, d, w), c in terms.items():
-        merged = PlaneWave(
-            tuple(q[m] + w.spatial[m] for m in range(3)), w.time
-        )
-        cur = {((0, 0, 0), 0, merged): c}
-        # (x^0 + (1/kappa) q.x)^d, applied one factor at a time
-        for _ in range(d):
-            nxt = _lmul_x0(cur)
-            for m in (1, 2, 3):
-                if qk[m - 1].is_zero():
-                    continue
-                for key, cc in _lmul_xm(m, cur).items():
-                    accumulate(nxt, key, cc * qk[m - 1])
-            cur = nxt
-        for (a2, d2, w2), cc in cur.items():
-            key = ((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2)
-            accumulate(out, key, cc)
-    return out
+@lru_cache(maxsize=4096)
+def _drift(q, t):
+    """(x^0 + q.x/kappa)^t, the image of x0^t carried left past exp(i q.x):
+    a wave-free PositionElement, formed once per (q, t).  Its products go
+    through `dot`, not `*`, so the traced `PositionElement.__mul__` counts
+    only products asked for from outside the normal form."""
+    base = PositionElement({((0, 0, 0), 1, W_IDENTITY): ONE, **{
+        (axis, 0, W_IDENTITY): s * _KAPPA_INV for axis, s in zip(_AXES, q) if s}})
+    acc = base
+    for _ in range(t - 1):
+        acc = dot(((acc, base),))
+    return acc
 
 
 @lru_cache(maxsize=200000)
 def _mono_mul(key1, key2):
     """Normal form of the monomial `key1` times the monomial `key2`, as a
-    tuple of (key, ScalarValue) pairs with shared keys and coefficients."""
-    a, d, w = key1
-    cur = {key2: ONE}
-    if w.time:
-        cur = _lmul_time_exp(w.time, cur)
-    if any(not s.is_zero() for s in w.spatial):
-        cur = _lmul_spatial_exp(w.spatial, cur)
-    if d:
-        cur = _lmul_x0_power(d, cur)
-    return tuple(
-        (share(((a[0] + a2[0], a[1] + a2[1], a[2] + a2[2]), d2, w2)), share(c))
-        for (a2, d2, w2), c in cur.items()
-    )
+    tuple of (key, ScalarValue) pairs with shared keys and coefficients:
+    the closed form of the module docstring."""
+    (a, d, w), (b, t, v) = key1, key2
+    nb = b[0] + b[1] + b[2]
+    poly = {((0, 0, 0), r, W_IDENTITY): c for r, c in enumerate(binomial_shift(nb, d)) if c}
+    if t and any(w.spatial):
+        poly = dot(((PositionElement(poly), _drift(w.spatial, t)),)).terms
+    elif t:
+        poly = {(e, r + t, W_IDENTITY): c for (e, r, _w), c in poly.items()}
+    scale = w.e_power(-nb) if nb and w.time else ONE
+    ab, wv = (a[0] + b[0], a[1] + b[1], a[2] + b[2]), w * v
+    return tuple((share(((ab[0] + e[0], ab[1] + e[1], ab[2] + e[2]), r, wv)),
+                  share(c if scale is ONE else c * scale))
+                 for (e, r, _w), c in poly.items())
 
 
 class PositionElement(TermMap):
@@ -254,9 +202,7 @@ class PositionElement(TermMap):
         if mu == 0:
             return PositionElement({((0, 0, 0), 1, W_IDENTITY): ONE})
         if 1 <= mu <= 3:
-            a = [0, 0, 0]
-            a[mu - 1] = 1
-            return PositionElement({(tuple(a), 0, W_IDENTITY): ONE})
+            return PositionElement({(_AXES[mu - 1], 0, W_IDENTITY): ONE})
         raise ValueError(f"coordinate index {mu} out of range 0..3")
 
     @staticmethod

@@ -8,12 +8,13 @@ effects.  To re-pin after an intended change of a demo's output, print
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tests import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -40,10 +41,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_stdout_matches_pin(name):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True,
-                          env=env, cwd=ROOT, timeout=120)
+                          env=child_env(), cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]

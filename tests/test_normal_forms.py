@@ -21,14 +21,12 @@ from kmink.minkowski import (
     PlaneWave,
     PositionElement,
     W_IDENTITY,
-    _lmul_x0,
-    _lmul_x0_power,
     _mono_mul,
     dot,
 )
 from kmink.momentum import MomentumElement
 from kmink.scalars import LIMIT, ScalarValue
-from kmink.terms import share
+from kmink.terms import accumulate, share
 
 LABELS = (1, 2, 3)
 
@@ -151,15 +149,95 @@ def test_module_algebra_law(p, a, b):
     assert act(p, a * b) == rhs
 
 
+# -- the closed form against the rewrite rules, one factor at a time ------------
+
+IMK = ScalarValue.number(0, 1) * ScalarValue.kappa(-1)
+
+
+def _lmul_x0(terms):
+    """x^0 x^a = x^a (x^0 + i|a|/kappa); x^0 meets no wave."""
+    out = {}
+    for (a, d, w), c in terms.items():
+        accumulate(out, (a, d + 1, w), c)
+        if sum(a):
+            accumulate(out, (a, d, w), c * ScalarValue.number(sum(a)) * IMK)
+    return out
+
+
+def _lmul_xm(m, terms):
+    return {(tuple(n + (i == m) for i, n in enumerate(a)), d, w): c
+            for (a, d, w), c in terms.items()}
+
+
+def _lmul_time_exp(time, terms):
+    """exp(i K x^0) x^m = E_K^-1 x^m exp(i K x^0) and
+    exp(i K x^0) exp(i v.x) = exp(i E_K^-1 v.x) exp(i K x^0)."""
+    e_inv = ScalarValue.number(1)
+    for j, n in time:
+        e_inv = e_inv * ScalarValue.E(j, -n)
+    out = {}
+    for (a, d, w), c in terms.items():
+        for _ in range(sum(a)):
+            c = c * e_inv
+        merged = {}
+        for j, n in time + w.time:
+            merged[j] = merged.get(j, 0) + n
+        wave = PlaneWave(tuple(e_inv * v for v in w.spatial),
+                         tuple((j, n) for j, n in merged.items() if n))
+        accumulate(out, (a, d, wave), c)
+    return out
+
+
+def _lmul_spatial_exp(q, terms):
+    """exp(i q.x) commutes with x^m and carries each x^0 to its left as
+    x^0 + q.x/kappa, by x^0 exp(i q.x) = exp(i q.x) (x^0 - q.x/kappa)."""
+    qk = [s * ScalarValue.kappa(-1) for s in q]
+    out = {}
+    for (a, d, w), c in terms.items():
+        cur = {((0, 0, 0), 0, PlaneWave(tuple(s + v for s, v in zip(q, w.spatial)),
+                                        w.time)): c}
+        for _ in range(d):
+            nxt = _lmul_x0(cur)
+            for m in range(3):
+                for key, cc in _lmul_xm(m, cur).items():
+                    accumulate(nxt, key, cc * qk[m])
+            cur = nxt
+        for (a2, d2, w2), cc in cur.items():
+            accumulate(out, (tuple(x + y for x, y in zip(a, a2)), d2, w2), cc)
+    return out
+
+
+def reference_mono_mul(key1, key2):
+    """x^a x0^d exp(i q.x) exp(i K x^0) times `key2`, multiplied onto it
+    from the left one canonical factor at a time."""
+    a, d, w = key1
+    terms = _lmul_spatial_exp(w.spatial, _lmul_time_exp(w.time, {key2: ScalarValue.number(1)}))
+    for _ in range(d):
+        terms = _lmul_x0(terms)
+    for m in range(3):
+        for _ in range(a[m]):
+            terms = _lmul_xm(m, terms)
+    return PositionElement(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(position_keys(max_degree=4), position_keys(max_degree=4))
+def test_closed_form_matches_factor_by_factor_rewriting(k1, k2):
+    assert PositionElement(dict(_mono_mul.__wrapped__(k1, k2))) == reference_mono_mul(k1, k2)
+
+
 @settings(max_examples=40, deadline=None)
-@given(positions(max_terms=3), st.integers(0, 4))
-def test_x0_power_matches_repeated_x0(a, n):
-    """The binomial (x^0)^n step equals n single x^0 steps, term order
-    included (tensor products render in insertion order)."""
-    repeated = a.terms
-    for _ in range(n):
-        repeated = _lmul_x0(repeated)
-    assert list(_lmul_x0_power(n, a.terms).items()) == list(repeated.items())
+@given(waves(), waves())
+def test_plane_waves_are_interned_and_form_a_group(w, v):
+    """Equal waves built separately are one object, and the group law has
+    the inverse and the identity of a group."""
+    again = PlaneWave(tuple(s + ScalarValue.number(0) for s in w.spatial), list(w.time))
+    assert again is w
+    assert PlaneWave.label(2) is PlaneWave.label(2)
+    assert w * w.inverse() is W_IDENTITY
+    assert w.inverse() * w is W_IDENTITY
+    assert w * W_IDENTITY is w and W_IDENTITY * w is w
+    assert (w * v).inverse() is v.inverse() * w.inverse()
 
 
 @settings(max_examples=40, deadline=None)

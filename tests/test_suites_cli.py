@@ -13,12 +13,13 @@ from kmink.fuzz import rand_spinor
 from kmink.minkowski import PositionElement
 from kmink.momentum import MomentumElement
 from kmink.terms import IndexedMap
+from tests import child_env
 
 
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "kmink.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
