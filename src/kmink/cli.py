@@ -7,7 +7,8 @@
     kmink verify --suite <name> [--seed N] [--max-degree D]
                  [--gamma4 zero|unit:<lam>|gamma5:<lam>] [--json PATH]
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage or parse error.
+Exit codes: 0 pass, 1 assertion failure (a suite that raises is one), 2 usage
+or parse error.
 """
 
 from __future__ import annotations

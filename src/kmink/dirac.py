@@ -17,7 +17,6 @@ that variant is reported, not asserted.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import act, act_derivative
@@ -30,7 +29,7 @@ from .momentum import (
     f_matrix,
 )
 from .scalars import ONE, ZERO, ScalarValue
-from .terms import IndexedMap, accumulate
+from .terms import IndexedMap, Record, accumulate
 
 DIM = 4
 
@@ -80,12 +79,12 @@ ID4 = _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 ZERO4 = Matrix()
 
 
-@dataclass(frozen=True)
-class Gamma4:
-    """The fifth gamma slot: kind in {"zero", "unit", "gamma5"}."""
+class Gamma4(Record):
+    """The fifth gamma slot: kind in {"zero", "unit", "gamma5"}, and its
+    scalar coefficient."""
 
-    kind: str
-    coeff: ScalarValue = ONE
+    __slots__ = ("kind", "coeff")
+    DEFAULTS = {"coeff": ONE}
 
     def matrix(self):
         if self.kind == "zero":
@@ -100,11 +99,11 @@ class Gamma4:
 GAMMA4_ZERO = Gamma4("zero", ZERO)
 
 
-@dataclass(frozen=True)
-class GammaRep:
+class GammaRep(Record):
     """A gamma-matrix representation together with the gamma_4 choice."""
 
-    gamma4: Gamma4 = GAMMA4_ZERO
+    __slots__ = ("gamma4",)
+    DEFAULTS = {"gamma4": GAMMA4_ZERO}
 
     @property
     def gammas(self):

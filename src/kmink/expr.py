@@ -20,11 +20,14 @@ The published grammar, round-trip safe (parse(render(ast)) == ast):
 literal names an arbitrary ordered plane wave (three spatial entries and
 an integer combination of time symbols) so every engine value renders
 back into the grammar.
+
+The AST nodes are immutable records (`terms.Record`): a node's fields
+cannot be reassigned, and two nodes are equal, and hash equal, when they
+are of one kind with equal fields, so `Add(a, b) != Sub(a, b)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import momentum as mom
@@ -32,6 +35,7 @@ from .action import HeisenbergElement, act
 from .forms import OneForm, TwoForm, exterior_d
 from .minkowski import PlaneWave, PositionElement
 from .scalars import GaussianRational, ScalarValue, decode
+from .terms import Record
 
 
 class ExprError(ValueError):
@@ -57,79 +61,58 @@ def _line_col(text, pos):
 # -- AST ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    re: Fraction
-    im: Fraction = Fraction(0)
+class Num(Record):
+    __slots__ = ("re", "im")  # Fractions
+    DEFAULTS = {"im": Fraction(0)}
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    args: tuple = ()
+class Sym(Record):
+    __slots__ = ("name", "args")
+    DEFAULTS = {"args": ()}
 
 
-@dataclass(frozen=True)
-class WaveLit:
-    spatial: tuple  # three sub-expressions
-    time: object
+class WaveLit(Record):
+    __slots__ = ("spatial", "time")  # spatial: three sub-expressions; time: one
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Add(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Sub(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Mul(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class Pow(Record):
+    __slots__ = ("base", "exp")  # exp: an int
 
 
-@dataclass(frozen=True)
-class Neg:
-    value: object
+class Neg(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Star:
-    value: object
+class Star(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class ExtD:
-    value: object
+class ExtD(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Wedge:
-    left: object
-    right: object
+class Wedge(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Act:
-    left: object
-    right: object
+class Act(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Comm:
-    left: object
-    right: object
+class Comm(Record):
+    __slots__ = ("left", "right")
 
 
 # -- lexer ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ sums of the covariant derivative and its commutator identity are one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
@@ -32,23 +31,21 @@ from .forms import OneForm, TwoForm
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
-from .terms import IndexedMap, accumulate
+from .terms import IndexedMap, Record, accumulate
 
 
-@dataclass(frozen=True)
-class GaugeConfig:
-    """Five gauge potentials plus the gauge charge."""
+class GaugeConfig(Record):
+    """Five gauge potentials A plus the gauge charge g."""
 
-    A: tuple
-    g: ScalarValue = ONE
+    __slots__ = ("A", "g")
 
-    def __post_init__(self):
-        if len(self.A) != 5:
+    def __init__(self, A, g=ONE):
+        if len(A) != 5:
             raise ValueError("a gauge configuration carries five potentials")
-        g = ScalarValue._coerce(self.g)
-        if g is NotImplemented:
-            raise ValueError(f"the charge must be a scalar, not {type(self.g).__name__}")
-        object.__setattr__(self, "g", g)  # equal charges hash equal
+        charge = ScalarValue._coerce(g)
+        if charge is NotImplemented:
+            raise ValueError(f"the charge must be a scalar, not {type(g).__name__}")
+        super().__init__(A, charge)  # equal charges hash equal
 
     @staticmethod
     def from_potentials(*A, g=ONE):

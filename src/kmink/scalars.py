@@ -39,6 +39,13 @@ from math import factorial, gcd, lcm
 from .terms import TermMap, accumulate, share
 
 
+# Most decimal digits of a numerator or denominator that `render` prints
+# (CPython's default cap on int-to-str conversion), and the least integer
+# with more.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
 class GaussianRational:
     """Complex number (a + b*i)/d with integer a, b and d.
 
@@ -117,12 +124,17 @@ class GaussianRational:
 
     def render(self):
         """Grammar form: `3/2`, `-1i`, `(3/2 + 1i)`, `(3/2 - 1i)`."""
+        re, im = self.re, self.im
+        for part in (re, im):
+            if abs(part.numerator) >= _TOO_LONG or part.denominator >= _TOO_LONG:
+                raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits, "
+                                 f"more than kmink prints")
         if not self.b:
-            return str(self.re)
+            return str(re)
         if not self.a:
-            return f"{self.im}i"
+            return f"{im}i"
         sign = "+" if self.b > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}i)"
+        return f"({re} {sign} {abs(im)}i)"
 
 
 _new = object.__new__

@@ -6,6 +6,8 @@ An asserted check computes one residual value (a term map, or a scalar);
 it passes exactly when the residual is zero, and a failure shows it.
 `reported` marks computed-but-not-asserted results: documented discrepancies
 in the published formulas, convention reconciliations and limit expansions.
+A suite that raises yields one `fail` record, `<suite>-raised`, whose
+residual is the exception's type and message.
 
 Suites are deterministic in (seed, max_degree, gamma4); records are
 order-normalized so the machine-readable output is byte-identical across
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dirac, fuzz, gauge, momentum as mom
@@ -31,26 +32,20 @@ from .forms import (
 )
 from .minkowski import IMK, PlaneWave, PositionElement, PositionTensor, dot
 from .scalars import I, ONE, ScalarValue
-from .terms import IndexedMap
+from .terms import IndexedMap, Record
 
 SUITE_NAMES = ("hopf", "action", "calculus", "dirac", "gauge", "limit")
 
 
-@dataclass
-class CheckRecord:
-    suite: str
-    check_id: str
-    equation: str
-    status: str  # "pass" | "fail" | "reported"
-    residual: str = "0"
-    wall_ms: float = 0.0
+class CheckRecord(Record, frozen=False):
+    # status: "pass" | "fail" | "reported"; wall_ms is set after the suite ran
+    __slots__ = ("suite", "check_id", "equation", "status", "residual", "wall_ms")
+    DEFAULTS = {"residual": "0", "wall_ms": 0.0}
 
 
-@dataclass
-class RunConfig:
-    seed: int = 42
-    max_degree: int = 2
-    gamma4: dirac.Gamma4 = field(default_factory=lambda: dirac.GAMMA4_ZERO)
+class RunConfig(Record, frozen=False):
+    __slots__ = ("seed", "max_degree", "gamma4")
+    DEFAULTS = {"seed": 42, "max_degree": 2, "gamma4": dirac.GAMMA4_ZERO}
 
 
 def _check(suite, check_id, equation, residual):
@@ -629,8 +624,18 @@ def run_suite(name, cfg=None):
 
 
 def _run_one(name, cfg):
+    """The records of one suite.  A suite that raises gives one `fail`
+    record, `<suite>-raised`, whose residual names the exception, and its
+    traceback goes to standard error."""
     t0 = time.perf_counter()
-    records = SUITES[name](cfg)
+    try:
+        records = SUITES[name](cfg)
+    except Exception as exc:  # an engine fault is a failed check, not a usage error
+        import traceback
+
+        traceback.print_exc()
+        records = [CheckRecord(name, f"{name}-raised", "n/a", "fail",
+                               f"{type(exc).__name__}: {exc}")]
     elapsed = (time.perf_counter() - t0) * 1000.0 / max(1, len(records))
     for r in records:
         r.wall_ms = round(elapsed, 3)

@@ -31,6 +31,10 @@ An `IndexedMap` is the same container over plain index keys (a row, a
 `(row, col)` pair, a name) whose coefficients are algebra elements or
 term maps: one-forms, spinors, 4x4 operators and families of residuals.
 It has no product.
+
+A `Record` is the small value type for everything that is not a sum of
+terms: expression nodes, gamma-matrix choices, gauge configurations and
+the suites' records and run settings.
 """
 
 from __future__ import annotations
@@ -362,3 +366,66 @@ class IndexedMap(TermMap):
             return "0"
         return "; ".join(f"{key}: {self.terms[key].render()}"
                          for key in self._render_order())
+
+
+class Record:
+    """A value record.  Its fields are its class's `__slots__`, filled in
+    order from the constructor's positional and keyword arguments; a field
+    not given takes its value from the class's `DEFAULTS` {field: value}.
+    Two records are equal when they are of one class with equal fields.  A
+    record is frozen and hashable unless its class is declared
+    `class R(Record, frozen=False)`: then its fields can be assigned and it
+    has no hash, as it has no stable value."""
+
+    __slots__ = ()
+
+    DEFAULTS = {}
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, not {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated "
+                                f"field {name!r}")
+            values[name] = value
+        for name in names:
+            if name in values:
+                object.__setattr__(self, name, values[name])
+            elif name in self.DEFAULTS:
+                object.__setattr__(self, name, self.DEFAULTS[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+                + ")")

@@ -23,6 +23,20 @@ def test_parse_examples():
     assert ast == expr.Act(expr.Sym("del", (0,)), expr.Pow(expr.Sym("x0"), 2))
 
 
+def test_nodes_are_frozen_records():
+    a, b = expr.Sym("x0"), expr.Num(Fraction(1, 2))
+    assert expr.Add(a, b) != expr.Sub(a, b)
+    assert expr.Add(a, b) == expr.Add(expr.Sym("x0"), expr.Num(Fraction(1, 2)))
+    assert hash(expr.Add(a, b)) == hash(expr.Add(expr.Sym("x0"), expr.Num(Fraction(1, 2))))
+    assert expr.Num(Fraction(1, 2)) == expr.Num(Fraction(1, 2), Fraction(0))
+    assert expr.Sym("x0") == expr.Sym("x0", ())
+    assert repr(expr.Pow(a, 2)) == "Pow(base=Sym(name='x0', args=()), exp=2)"
+    with pytest.raises(AttributeError):
+        expr.Add(a, b).left = b
+    with pytest.raises(AttributeError):
+        del expr.Neg(a).value
+
+
 def test_parse_errors():
     with pytest.raises(expr.ExprError):
         expr.parse("tau[9]")

@@ -11,7 +11,7 @@ from kmink.action import act_derivative, act_f, act_f_lowered
 from kmink.forms import TwoForm
 from kmink.fuzz import rand_polynomial
 from kmink.minkowski import PlaneWave, PositionElement
-from kmink.scalars import I, ScalarValue
+from kmink.scalars import I, ONE, ScalarValue
 from kmink.terms import IndexedMap
 
 X = [PositionElement.x(mu) for mu in range(4)]
@@ -30,6 +30,19 @@ def test_from_potentials_pads_with_zeros():
     cfg = gauge.GaugeConfig.from_potentials(Z, X[0])
     assert cfg.A == CFG_LINEAR.A
     assert cfg.g == ScalarValue.number(1)
+
+
+def test_config_checks_and_coerces():
+    with pytest.raises(ValueError, match="five potentials"):
+        gauge.GaugeConfig((Z,) * 4)
+    with pytest.raises(ValueError, match="must be a scalar"):
+        gauge.GaugeConfig((Z,) * 5, X[0])
+    plain, coerced = gauge.GaugeConfig(CFG_FULL.A, 1), gauge.GaugeConfig(CFG_FULL.A, ONE)
+    assert isinstance(plain.g, ScalarValue)
+    assert plain == coerced and hash(plain) == hash(coerced)
+    assert plain == CFG_FULL
+    with pytest.raises(AttributeError):
+        plain.g = ONE
 
 
 def test_field_strength_examples():

@@ -12,6 +12,7 @@ from kmink.forms import OneForm
 from kmink.fuzz import rand_spinor
 from kmink.minkowski import PositionElement
 from kmink.momentum import MomentumElement
+from kmink.scalars import MAX_DIGITS
 from kmink.terms import IndexedMap
 from tests import child_env
 
@@ -44,6 +45,34 @@ def test_report_determinism():
     for line in first.strip().splitlines():
         record = json.loads(line)
         assert set(record) == {"suite", "id", "equation", "status", "residual"}
+
+
+def test_run_config_and_check_record_fields():
+    cfg = suites.RunConfig()
+    assert (cfg.seed, cfg.max_degree, cfg.gamma4) == (42, 2, dirac.GAMMA4_ZERO)
+    assert suites.RunConfig(seed=7).max_degree == 2
+    record = suites.CheckRecord("limit", "id", "1.12", "pass")
+    assert (record.residual, record.wall_ms) == ("0", 0.0)
+    record.wall_ms = 1.5
+    assert record == suites.CheckRecord("limit", "id", "1.12", "pass", "0", 1.5)
+
+
+def test_a_raising_suite_is_a_fail_record(monkeypatch, tmp_path, capsys):
+    def boom(cfg):
+        raise ValueError("engine fault")
+
+    fake = {name: (lambda cfg: []) for name in suites.SUITE_NAMES}
+    fake.update(hopf=boom, limit=suites.suite_limit)
+    monkeypatch.setattr(suites, "SUITES", fake)
+    path = tmp_path / "report.jsonl"
+    assert main(["verify", "--suite", "all", "--max-degree", "1", "--json", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL" in out and "engine fault" in err and "Traceback" in err
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0] == {"suite": "hopf", "id": "hopf-raised", "equation": "n/a",
+                          "status": "fail", "residual": "ValueError: engine fault"}
+    rest = records[1:]
+    assert rest and all(r["suite"] == "limit" and r["status"] != "fail" for r in rest)
 
 
 def test_records_sorted_and_tagged():
@@ -161,6 +190,21 @@ def test_main_entry_direct(capsys):
     assert main(["eval", "x1 * x2"]) == 0
     assert "x1 * x2" in capsys.readouterr().out
     assert main(["eval", "(x0"]) == 2
+
+
+def test_eval_names_the_coefficient_digit_limit(capsys):
+    assert main(["eval", "((3*kappa)^1000)^10"]) == 2
+    err = capsys.readouterr().err
+    assert f"more than {MAX_DIGITS} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    code = ("import sys, kmink.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]")
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

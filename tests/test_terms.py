@@ -12,6 +12,7 @@ from kmink.fuzz import (rand_coeff, rand_momentum, rand_oneform, rand_polynomial
 from kmink.minkowski import PositionElement, PositionTensor
 from kmink.momentum import MomentumTensor
 from kmink.scalars import ONE, ScalarValue
+from kmink.terms import Record
 
 
 def _scalar(rng):
@@ -180,3 +181,28 @@ def test_coproduct_is_an_algebra_map(make, seed):
     kwargs = {"waves": True} if make is rand_position else {}
     a, b = (make(rng, 2, n_terms=2, **kwargs) for _ in range(2))
     assert (a * b).coproduct() == a.coproduct() * b.coproduct()
+
+
+class _Point(Record):
+    __slots__ = ("x", "y")
+    DEFAULTS = {"y": 0}
+
+
+class _Cell(Record, frozen=False):
+    __slots__ = ("value",)
+
+
+def test_record_fields_defaults_and_freezing():
+    assert _Point(1) == _Point(x=1, y=0) == _Point(1, y=0)
+    assert hash(_Point(1, 2)) == hash(_Point(1, 2)) and _Point(1, 2) != _Point(2, 1)
+    assert _Point(1, 2) != _Cell(1) and repr(_Point(1, 2)) == "_Point(x=1, y=2)"
+    for args, kwargs in (((1, 2, 3), {}), ((1,), {"x": 2}), ((1,), {"z": 2}), ((), {})):
+        with pytest.raises(TypeError):
+            _Point(*args, **kwargs)
+    with pytest.raises(AttributeError):
+        _Point(1).x = 2
+    cell = _Cell(1)
+    cell.value = 2
+    assert cell == _Cell(2)
+    with pytest.raises(TypeError):
+        hash(cell)
