@@ -11,94 +11,94 @@ rules
     P_0 T = T (P_0 + K)                   P_m S = S (P_m + q_m)
     P_m T = E_K^-1 T P_m                  Exp[l] T = E_K^l T Exp[l]
 
-for plane-wave factors S = exp(i q.x_spatial), T = exp(i K x^0), so the
-action on any polynomial-plus-plane-wave element terminates in finitely
-many exact steps.
+for plane-wave factors S = exp(i q.x_spatial), T = exp(i K x^0), the
+cross relations of the bicrossproduct (Majid and Ruegg, Phys. Lett. B 334
+(1994) 348).  On a normal-ordered monomial x^a x0^t W, with W of momentum
+(q, K), they make each generator a sum of commuting operators:
 
-Momenta commute, so a momentum monomial P_1^b1 P_2^b2 P_3^b3 P_0^d Exp[l]
-passes a position monomial one generator at a time: Exp[l] once, P_0 d
-times, then each P_m b_m times.  `_step` is the one table of the rules
-above: one generator past one position monomial, each piece with the
-momentum remainder it leaves on the right.  The left action `act` is a
-module action, (PQ) |> f = P |> (Q |> f): it applies the generators in
-turn, asking each step only for its pieces with no P remainder, and sends
-an Exp remainder to 1 (the momentum counit), so it never forms a momentum
-remainder.  The full normal form `_pass_momentum`, which keeps
-every remainder, serves mixed words only: `HeisenbergElement.mono_mul`
-is the memoised normal form of one mixed monomial times another, built
-from `_pass_momentum` and the position `_mono_mul`, and the term-map core
-forms products and sums of products of mixed words from it.
+    P_m    = -i d_m + sigma (E_K^-1 R_m + q_m)
+    P_0    = -i d_0 + R_0 + K
+    Exp[l] = E_K^l sigma^-l R_Exp[l]
+
+Here d_mu differentiates x^a x0^t in x^mu, sigma is the shift
+x^0 -> x^0 + i/kappa, and R puts its generator into the momentum
+remainder on the right.  d_m touches only x^a, d_0 and sigma only x^0,
+and R only the remainder, so the monomial P^b P_0^d Exp[l] passes in
+closed form: each factor (-i d + c1 R + c0)^n is one binomial sum, and
+their product applies sigma^s (s the net shift count) to the x^0 power
+left by d_0, one `binomial_shift`.  `_pass_momentum` is that expansion
+and keeps every remainder; `HeisenbergElement.mono_mul`, the memoised
+normal form of one mixed monomial times another, is built from it and the
+position `_mono_mul`, and the term-map core forms products and sums of
+products of mixed words from it.  The left action `act` is the vacuum
+projection of the same expansion (`_act_key`): the terms with a P
+remainder drop out and an Exp remainder goes to 1, the momentum counit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, perm
 
 from . import momentum as mom
 from .minkowski import KEY_UNIT, PositionElement, _mono_mul, binomial_shift
-from .scalars import I, ONE, ScalarValue
-from .terms import TermMap, accumulate, contract, share
+from .scalars import ONE, ScalarValue
+from .terms import TermMap, contract, share
 
 MOM_UNIT = ((0, 0, 0), 0, 0)
-_P0 = ((0, 0, 0), 1, 0)
-_PM = (((1, 0, 0), 0, 0), ((0, 1, 0), 0, 0), ((0, 0, 1), 0, 0))
+_NO_AXIS = ((0, 0, ONE),)  # a generator to the power 0
 
 
-def _generators(momkey):
-    """The generators of a momentum monomial in the order they pass a
-    position monomial, each as a momentum key."""
-    b, d, lam = momkey
-    gens = [((0, 0, 0), 0, lam)] if lam else []
-    gens += [_P0] * d
-    for m in range(3):
-        gens += [_PM[m]] * b[m]
-    return gens
-
-
-@lru_cache(maxsize=200000)
-def _step(gen, poskey, vacuum=False):
-    """Commute one generator (Exp[l], P_0 or P_m, as a momentum key) past
-    one position monomial.
-
-    Returns a tuple of (position key, remainder momentum key, ScalarValue)
-    triples, with distinct position-remainder pairs, whose sum is the
-    normal form of gen * poskey; each remainder is `gen` or the unit.  With
-    `vacuum`, the pieces with a P remainder are left out: they are the ones
-    the left action drops, and for P_m they are a binomial expansion.
-    """
-    b, d, lam = gen
-    a, t, w = poskey
+@lru_cache(maxsize=20000)
+def _axis(axis, n, e, w, vacuum):
+    """(-i d + c1 R + c0)^n on a coordinate power of exponent e, on the
+    monomial's wave w of momentum (q, K): P_m^n on x^m for axis = m - 1 in
+    0..2 (c1 = E_K^-1, c0 = q_m), or P_0^n on x^0 for axis 3 (c1 = 1,
+    c0 = K).  A tuple of (j, k, ScalarValue) triples, j the order of d and
+    k the power of R, with coefficient
+    C(n, j) e!/(e-j)! (-i)^j C(n-j, k) c1^k c0^(n-j-k).  With `vacuum`
+    only k = 0; a vanishing c0 keeps only its zeroth power."""
+    c1, c0 = (ONE, w.time_scalar()) if axis == 3 else (w.e_power(-1), w.spatial[axis])
     pieces = []
-    if lam:
-        # x^a (x0 - i lam/kappa)^t E_K^lam W Exp[lam]
-        ew = w.e_power(lam)
-        for r, coeff in enumerate(binomial_shift(-lam, t)):
-            pieces.append(((a, r, w), gen, coeff * ew))
-    elif d:
-        # x^a x0^t W (P_0 + K) - i t x^a x0^(t-1) W
-        if not vacuum:
-            pieces.append((poskey, gen, ONE))
-        k0 = w.time_scalar()
-        if not k0.is_zero():
-            pieces.append((poskey, MOM_UNIT, k0))
-        if t:
-            pieces.append(((a, t - 1, w), MOM_UNIT, ScalarValue.number(-t) * I))
-    else:
-        # -i a_m x^(a-e_m) x0^t W + x^a (x0 + i/kappa)^t W (E_K^-1 P_m + q_m)
-        m = b.index(1)
-        if a[m]:
-            na = list(a)
-            na[m] -= 1
-            pieces.append(((tuple(na), t, w), MOM_UNIT, ScalarValue.number(-a[m]) * I))
-        qm = w.spatial[m]
-        if not (vacuum and qm.is_zero()):
-            ew_inv = w.e_power(-1)
-            for r, coeff in enumerate(binomial_shift(1, t)):
-                if not vacuum:
-                    pieces.append(((a, r, w), gen, coeff * ew_inv))
-                if not qm.is_zero():
-                    pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
-    return tuple((share(p), share(r), share(c)) for p, r, c in pieces)
+    for j in range(min(n, e) + 1):
+        rest, lead = n - j, comb(n, j) * perm(e, j)
+        for k in ((0,) if vacuum else range(rest + 1)):
+            p = rest - k
+            if p and c0.is_zero():
+                continue
+            num = lead * comb(rest, k)
+            coeff = ScalarValue.number(*((num, 0), (0, -num), (-num, 0), (0, num))[j % 4])
+            if k:
+                coeff = coeff * c1 ** k
+            if p:
+                coeff = coeff * c0 ** p
+            pieces.append((j, k, share(coeff)))
+    return tuple(pieces)
+
+
+def _pass(momkey, poskey, vacuum):
+    """The normal form of momkey * poskey in closed form (module docstring),
+    as a {key: ScalarValue} dict: keys are (position key, momentum key)
+    pairs, or with `vacuum` position keys alone, the terms with a P
+    remainder left out and an Exp remainder sent to 1."""
+    (b, d, lam), (a, t, w) = momkey, poskey
+    # (d_m orders, R_m powers, net sigma count, coefficient) over P^b Exp[lam]
+    combos = [((), (), -lam, w.e_power(lam) if lam else ONE)]
+    for m in range(3):
+        pieces = _axis(m, b[m], a[m], w, vacuum) if b[m] else _NO_AXIS
+        combos = [(js + (j,), ks + (k,), s + b[m] - j, cm if c is ONE else c * cm)
+                  for js, ks, s, c in combos for j, k, cm in pieces]
+    p0 = _axis(3, d, t, w, vacuum) if d else _NO_AXIS
+    rlam = 0 if vacuum else lam
+    images = []
+    for js, ks, s, c in combos:
+        pa = (a[0] - js[0], a[1] - js[1], a[2] - js[2])
+        for r, k0, c0 in p0:
+            rem = (ks, k0, rlam)
+            images.append(((c if c0 is ONE else c * c0).terms, tuple(
+                ((pa, u, w) if vacuum else ((pa, u, w), rem), cu)
+                for u, cu in enumerate(binomial_shift(s, t - r)) if cu)))
+    return contract(images)
 
 
 @lru_cache(maxsize=200000)
@@ -108,14 +108,8 @@ def _pass_momentum(momkey, poskey):
     Returns a tuple of (position key, momentum key, ScalarValue) triples
     whose sum is the normal form of momkey * poskey.
     """
-    terms = {(poskey, MOM_UNIT): ONE}
-    for gen in _generators(momkey):
-        out = {}
-        for (pos, rem), c in terms.items():
-            for p2, r2, c2 in _step(gen, pos):
-                accumulate(out, (p2, mom.key_mul(r2, rem)), c * c2)
-        terms = out
-    return tuple((share(p), share(m), share(c)) for (p, m), c in terms.items())
+    return tuple((share(p), share(m), share(c))
+                 for (p, m), c in _pass(momkey, poskey, False).items())
 
 
 def act(p, a):
@@ -131,19 +125,9 @@ def act(p, a):
 
 @lru_cache(maxsize=200000)
 def _act_key(momkey, poskey):
-    """momkey |> poskey as shared (key, ScalarValue) pairs: the generators
-    act in turn, each step giving only its pieces with no P remainder; an
-    Exp remainder goes to 1."""
-    terms = {poskey: ONE}
-    for gen in _generators(momkey):
-        out = {}
-        for pos, c in terms.items():
-            for p2, _rem, c2 in _step(gen, pos, True):
-                accumulate(out, p2, c2 if c is ONE else c * c2)
-        if not out:
-            return ()
-        terms = out
-    return tuple((share(k), share(c)) for k, c in terms.items())
+    """momkey |> poskey as shared (key, ScalarValue) pairs: the vacuum
+    projection of `_pass_momentum`, expanded with no remainder at all."""
+    return tuple((share(k), share(c)) for k, c in _pass(momkey, poskey, True).items())
 
 
 @lru_cache(maxsize=200000)

@@ -14,6 +14,8 @@ or parse error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from . import dirac, suites
@@ -21,6 +23,12 @@ from .expr import (ExprError, EvalError, _act, _ext_d, evaluate, parse as parse_
                    render, render_value)
 from .minkowski import PositionElement
 from .scalars import ScalarValue
+
+# The engine's values are acyclic, so reference counting frees them and the
+# cyclic collector, which `main` switches off while a command runs, would
+# only walk the normal-form caches.  At exit the interpreter collects again
+# over every live object; freezing them first lets that pass skip the caches.
+atexit.register(gc.freeze)
 
 
 def _parse_gamma4(text):
@@ -201,6 +209,18 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command with the cyclic collector off (see `gc.freeze`
+    above), then restore the caller's collector setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

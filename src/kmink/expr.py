@@ -34,7 +34,7 @@ from . import momentum as mom
 from .action import HeisenbergElement, act
 from .forms import OneForm, TwoForm, exterior_d
 from .minkowski import PlaneWave, PositionElement
-from .scalars import GaussianRational, ScalarValue, decode
+from .scalars import MAX_DIGITS, GaussianRational, ScalarValue, decode
 from .terms import Record
 
 
@@ -149,6 +149,9 @@ def _lex(text):
             if j < n and text[j] == "i" and not (j + 1 < n and text[j + 1].isalnum()):
                 imag = True
                 j += 1
+            if max(len(num), len(den or "")) > MAX_DIGITS:
+                raise ExprError(f"a number has more than {MAX_DIGITS} digits, "
+                                f"more than kmink reads", i)
             if den is not None and int(den) == 0:
                 raise ExprError("zero denominator in a number", i)
             value = Fraction(int(num), int(den) if den else 1)

@@ -155,10 +155,22 @@ class TermMap:
     __radd__ = __add__
 
     def __sub__(self, other):
+        """Coefficient by coefficient in one pass, never forming `-other`."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key)
+            if v is None:
+                out[key] = -c
+            else:
+                v = v - c
+                if v.is_zero():
+                    del out[key]
+                else:
+                    out[key] = v
+        return self.__class__(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)

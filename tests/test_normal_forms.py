@@ -22,10 +22,11 @@ from kmink.minkowski import (
     PositionElement,
     W_IDENTITY,
     _mono_mul,
+    binomial_shift,
     dot,
 )
 from kmink.momentum import MomentumElement
-from kmink.scalars import LIMIT, ScalarValue
+from kmink.scalars import I, LIMIT, ONE, ScalarValue
 from kmink.terms import accumulate, share
 
 LABELS = (1, 2, 3)
@@ -247,6 +248,113 @@ def test_memoised_forms_equal_a_recomputation(k1, k2, mk, p):
     assert _pass_momentum(mk, k1) == _pass_momentum.__wrapped__(mk, k1)
     assert _act_monomial(p, k1) == _act_monomial.__wrapped__(p, k1)
     assert _act_key(mk, k1) == _act_key.__wrapped__(mk, k1)
+
+
+# -- closed-form momentum passing against the one-generator step table ---------
+
+MOM_UNIT = ((0, 0, 0), 0, 0)
+_P0 = ((0, 0, 0), 1, 0)
+_PM = (((1, 0, 0), 0, 0), ((0, 1, 0), 0, 0), ((0, 0, 1), 0, 0))
+
+
+def _generators(momkey):
+    """The generators of a momentum monomial in the order they pass a
+    position monomial, each as a momentum key."""
+    b, d, lam = momkey
+    gens = [((0, 0, 0), 0, lam)] if lam else []
+    gens += [_P0] * d
+    for m in range(3):
+        gens += [_PM[m]] * b[m]
+    return gens
+
+
+def reference_step(gen, poskey, vacuum=False):
+    """One generator (Exp[l], P_0 or P_m, as a momentum key) past one
+    position monomial, by the rules of the `action` docstring: (position
+    key, remainder key, ScalarValue) triples, each remainder `gen` or the
+    unit.  With `vacuum`, the pieces with a P remainder are left out."""
+    b, d, lam = gen
+    a, t, w = poskey
+    pieces = []
+    if lam:
+        # x^a (x0 - i lam/kappa)^t E_K^lam W Exp[lam]
+        ew = w.e_power(lam)
+        for r, coeff in enumerate(binomial_shift(-lam, t)):
+            pieces.append(((a, r, w), gen, coeff * ew))
+    elif d:
+        # x^a x0^t W (P_0 + K) - i t x^a x0^(t-1) W
+        if not vacuum:
+            pieces.append((poskey, gen, ONE))
+        k0 = w.time_scalar()
+        if not k0.is_zero():
+            pieces.append((poskey, MOM_UNIT, k0))
+        if t:
+            pieces.append(((a, t - 1, w), MOM_UNIT, ScalarValue.number(-t) * I))
+    else:
+        # -i a_m x^(a-e_m) x0^t W + x^a (x0 + i/kappa)^t W (E_K^-1 P_m + q_m)
+        m = b.index(1)
+        if a[m]:
+            na = list(a)
+            na[m] -= 1
+            pieces.append(((tuple(na), t, w), MOM_UNIT, ScalarValue.number(-a[m]) * I))
+        qm = w.spatial[m]
+        if not (vacuum and qm.is_zero()):
+            ew_inv = w.e_power(-1)
+            for r, coeff in enumerate(binomial_shift(1, t)):
+                if not vacuum:
+                    pieces.append(((a, r, w), gen, coeff * ew_inv))
+                if not qm.is_zero():
+                    pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
+    return pieces
+
+
+def reference_pass_momentum(momkey, poskey):
+    """momkey * poskey normal ordered one generator at a time, every
+    remainder kept, as a HeisenbergElement."""
+    terms = {(poskey, MOM_UNIT): ONE}
+    for gen in _generators(momkey):
+        out = {}
+        for (pos, rem), c in terms.items():
+            for p2, r2, c2 in reference_step(gen, pos):
+                accumulate(out, (p2, mom.key_mul(r2, rem)), c * c2)
+        terms = out
+    return HeisenbergElement(terms)
+
+
+def reference_act_key(momkey, poskey):
+    """momkey |> poskey with the generators acting in turn, each step giving
+    only its pieces with no P remainder; an Exp remainder goes to 1."""
+    terms = {poskey: ONE}
+    for gen in _generators(momkey):
+        out = {}
+        for pos, c in terms.items():
+            for p2, _rem, c2 in reference_step(gen, pos, True):
+                accumulate(out, p2, c * c2)
+        terms = out
+    return PositionElement(terms)
+
+
+@st.composite
+def merged_position_keys(draw):
+    """A position key whose wave is often a product of two waves, so its
+    time part may carry several labels and its spatial part E symbols."""
+    a, d, w = draw(position_keys(max_degree=4))
+    return (a, d, w * draw(waves()) if draw(st.booleans()) else w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(momentum_keys(), deep_momentum_keys()), merged_position_keys())
+@example(((2, 0, 0), 0, 1), ((1, 0, 0), 3, PlaneWave.label(1)))
+@example(((0, 1, 1), 2, -2), ((0, 2, 1), 1, PlaneWave.label(1) * PlaneWave.label(2)))
+def test_closed_form_passing_matches_the_step_table(mk, k):
+    """`_pass_momentum` and `_act_key`, each one closed expansion, equal the
+    normal form built one generator at a time, and `_act_key` equals the
+    vacuum projection of `_pass_momentum`."""
+    full = HeisenbergElement({(p, m): c for p, m, c in _pass_momentum.__wrapped__(mk, k)})
+    assert full == reference_pass_momentum(mk, k)
+    acted = PositionElement(dict(_act_key.__wrapped__(mk, k)))
+    assert acted == reference_act_key(mk, k)
+    assert acted == _vacuum(full)
 
 
 def _vacuum(h):

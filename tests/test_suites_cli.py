@@ -1,5 +1,6 @@
 """Suite orchestration, report determinism and the command-line driver."""
 
+import gc
 import json
 import random
 import subprocess
@@ -140,7 +141,11 @@ def test_cli_parse_eval_and_errors():
     for text in ("x0^1000000000", "kappa^1000000000", "kappa^-1001"):
         code, _, err = run_cli("eval", text)
         assert code == 2 and "at most 1000" in err
-    # deep momentum powers pass one generator at a time, with no recursion
+    # a number literal past the printable digit count is a positioned parse error
+    code, _, err = run_cli("parse", "1" * (MAX_DIGITS + 700))
+    assert code == 2 and f"more than {MAX_DIGITS} digits" in err and "column 1" in err
+    assert "set_int_max_str_digits" not in err
+    # deep momentum powers pass in one closed expansion, with no recursion
     for text, want in (("act(P0^400, x0^2)", "0"),
                        ("P0^400 * x0", "(-400i) * [1] * [P0^399] + (1) * [x0] * [P0^400]"),
                        ("act(P0^1000*P1^1000, x1)", "0"),
@@ -197,6 +202,50 @@ def test_eval_names_the_coefficient_digit_limit(capsys):
     err = capsys.readouterr().err
     assert f"more than {MAX_DIGITS} digits" in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_main_restores_the_collector_setting(capsys):
+    """`main` runs with the cyclic collector off and leaves it as it found
+    it: on success, on an exit-2 error and on an argparse usage error."""
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in ((["eval", "x0 * x1"], 0), (["eval", "tau[0] + x0"], 2),
+                               (["bogus-verb"], 2)):
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+# More cyclic garbage than one `main` call may leave behind; the argument
+# parser alone leaves a few hundred objects (its actions point back at it).
+MAX_CYCLIC_GARBAGE = 500
+
+
+def _cyclic_garbage(argv):
+    """The objects in reference cycles that one `main(argv)` call leaves,
+    run with the collector off."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_run_without_the_collector_leaves_bounded_cyclic_garbage(capsys):
+    """The engine's values are acyclic, so a suite run with the collector
+    off leaves no more cycles than a bare `parse`: only the parser's."""
+    verify = _cyclic_garbage(["verify", "--suite", "calculus", "--max-degree", "1"])
+    bare = _cyclic_garbage(["parse", "x0"])
+    capsys.readouterr()
+    assert verify < MAX_CYCLIC_GARBAGE
+    assert verify <= bare
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
