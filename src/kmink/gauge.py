@@ -17,9 +17,15 @@ Every index contraction of products -- the sum over k in F_ij, the
 divergence correction, the invariants C and C_pm, the covariance
 right-hand sides and the unitarity collapse -- is one `minkowski.dot`
 per output component, with factors shared by all terms (U F_kl, U
-nabla_m F^{mn}) multiplied once outside the index loops.  The mixed-word
-sums of the covariant derivative and its commutator identity are one
-`HeisenbergElement.dot` each.
+nabla_m F^{mn}) multiplied once outside the index loops.  A strength is
+read through its stored i < j components: (j, i) is their negation and a
+raised component carries the real metric sign, so each is multiplied by
+U or starred once.  The nested f-actions f^i_k(f^j_l(X)) of one
+construction share one table (`_actions`), so each action is computed
+once per construction; the table is keyed by the operand object, which
+the unit f-entries hand back unchanged (`action.act`), so f^i_k(f^m_m(X))
+reuses f^i_k(X).  The mixed-word sums of the covariant derivative and its
+commutator identity are one `HeisenbergElement.dot` each.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class GaugeConfig(Record):
         charge = ScalarValue._coerce(g)
         if charge is NotImplemented:
             raise ValueError(f"the charge must be a scalar, not {type(g).__name__}")
-        super().__init__(A, charge)  # equal charges hash equal
+        super().__init__(tuple(A), charge)  # equal charges hash equal
 
     @staticmethod
     def from_potentials(*A, g=ONE):
@@ -166,19 +172,42 @@ def gauge_transform(cfg, u):
     return GaugeConfig(tuple(new_A), cfg.g)
 
 
+def _actions(act):
+    """`act` (`act_f` or `act_f_lowered`) for the length of one construction,
+    each action computed once: memoised by (i, j, id(a)), each entry keeping
+    `a` alive so that no id is reused while the table lives.  A zero `a` is
+    its own image.  The table goes when the construction drops the
+    returned function."""
+    table = {}
+
+    def acts(i, j, a):
+        if not a.terms:
+            return a
+        key = (i, j, id(a))
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (act(i, j, a), a)
+        return entry[0]
+
+    return acts
+
+
 def check_f_covariance(cfg, u, charged=False):
     """Residual TwoForm of F~_ij = U F_kl f^k_i(f^l_j(U*))."""
     _require_unitary(u)
     ustar = u.star()
     f_old = field_strength(cfg, charged=charged)
     f_new = field_strength(gauge_transform(cfg, u), charged=charged)
-    u_f = {(k, l): u * fk for k in range(5) for l in range(5)
-           if not (fk := f_old.component(k, l)).is_zero()}
+    u_f = {}
+    for (k, l), fkl in f_old.terms.items():
+        u_f[k, l] = ufkl = u * fkl
+        u_f[l, k] = -ufkl
+    acts = _actions(act_f)
     rhs = {}
     for i in range(5):
         for j in range(i + 1, 5):
             accumulate(rhs, (i, j), dot(
-                (ufkl, act_f(k, i, act_f(l, j, ustar))) for (k, l), ufkl in u_f.items()
+                (ufkl, acts(k, i, acts(l, j, ustar))) for (k, l), ufkl in u_f.items()
             ))
     return f_new - TwoForm(rhs)
 
@@ -238,26 +267,26 @@ def divergence(cfg, charged=False):
     - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k.  Memoised
     per (cfg, charged), like `field_strength`."""
     strength = field_strength(cfg, charged=charged)
-    raised = {(m, n): strength.raised(m, n) for m in range(5) for n in range(5)}
-    neg_raised = {mn: -f for mn, f in raised.items() if not f.is_zero()}
+    # F^{mn} for the nonzero components in both orders: raising carries the
+    # real metric sign, and F^{nm} = -F^{mn}.
+    raised = {}
+    for (m, n), f in strength.terms.items():
+        raised[m, n] = up = f if METRIC5[m] == METRIC5[n] else -f
+        raised[n, m] = -up
+    acts = _actions(act_f_lowered)
     out = {}
     for k in range(5):
+        column = [(m, raised[m, k]) for m in range(5) if (m, k) in raised]
         acc = PositionElement.zero()
-        for m in range(5):
-            fmk = raised[m, k]
-            if fmk.is_zero():
-                continue
+        for m, fmk in column:
             acc = acc + act_derivative(m, fmk)
         pairs = []
-        for j in range(5):
-            if cfg.A[j].is_zero():
+        for j, a_j in enumerate(cfg.A):
+            if a_j.is_zero():
                 continue
-            for m in range(5):
-                fmk = raised[m, k]
-                if not fmk.is_zero():
-                    pairs.append((cfg.A[j], act_f(j, m, fmk)))
-            for (m, n), neg_fmn in neg_raised.items():
-                pairs.append((neg_fmn, act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))))
+            pairs.extend((a_j, act_f(j, m, fmk)) for m, fmk in column)
+            # -F^{mn} f_m^j(f_n^k(A_j)), summed as F^{nm} f_m^j(f_n^k(A_j))
+            pairs.extend((f_nm, acts(m, j, acts(n, k, a_j))) for (n, m), f_nm in raised.items())
         accumulate(out, k, acc + dot(pairs).scale(I * cfg.g))
     return IndexedMap(out)
 
@@ -281,19 +310,23 @@ def invariants(cfg, charged=False):
     C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per (cfg, charged), like
     `field_strength`."""
     strength = field_strength(cfg, charged=charged)
-    # (F_ij, F^ij, F_ij*, F^ij*) for each nonzero component, in (i, j) order.
+    # (F_ij, F^ij, F_ij*, F^ij*) for each nonzero component: each stored
+    # i < j component is starred once, (j, i) is its negation and the raised
+    # forms carry the real metric sign.
     comps = {}
-    for i in range(5):
-        for j in range(5):
-            f_low = strength.component(i, j)
-            if not f_low.is_zero():
-                f_up = strength.raised(i, j)
-                comps[i, j] = (f_low, f_up, f_low.star(), f_up.star())
+    for (i, j), f_low in strength.terms.items():
+        f_star = f_low.star()
+        if METRIC5[i] == METRIC5[j]:
+            comps[i, j] = (f_low, f_low, f_star, f_star)
+        else:
+            comps[i, j] = (f_low, -f_low, f_star, -f_star)
+        comps[j, i] = tuple(-f for f in comps[i, j])
+    acts = _actions(act_f)
     plus, minus = [], []
     for (i, j), (f_low, _, f_low_star, _) in comps.items():
         for (k, l), (_, fkl_up, _, fkl_up_star) in comps.items():
-            plus.append((f_low, act_f(i, k, act_f(j, l, fkl_up))))
-            minus.append((act_f(i, k, act_f(j, l, f_low_star)), fkl_up_star))
+            plus.append((f_low, acts(i, k, acts(j, l, fkl_up))))
+            minus.append((acts(i, k, acts(j, l, f_low_star)), fkl_up_star))
     c = dot((f_up, f_low_star) for f_low, f_up, f_low_star, _ in comps.values())
     return c, dot(plus), dot(minus)
 
@@ -304,7 +337,8 @@ def check_invariant_covariance(cfg, u, charged=False):
     _require_unitary(u)
     old = invariants(cfg, charged=charged)
     new = invariants(gauge_transform(cfg, u), charged=charged)
-    items = [(name, n - (u * o * u.star()))
+    ustar = u.star()
+    items = [(name, n - (u * o * ustar))
              for name, o, n in zip(("C", "C_plus", "C_minus"), old, new)]
     items.append(("C_minus - star(C_plus)", old[2] - old[1].star()))
     return IndexedMap.collect(items)
@@ -312,8 +346,8 @@ def check_invariant_covariance(cfg, u, charged=False):
 
 def _nested_f_lowered(a):
     """Table of f_k^i(f_l^j(a)), keyed by (k, l, i, j)."""
-    inner = [[act_f_lowered(l, j, a) for j in range(5)] for l in range(5)]
-    return {(k, l, i, j): act_f_lowered(k, i, inner[l][j])
+    acts = _actions(act_f_lowered)
+    return {(k, l, i, j): acts(k, i, acts(l, j, a))
             for k in range(5) for l in range(5) for i in range(5) for j in range(5)}
 
 

@@ -48,8 +48,10 @@ IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
 _ZSPATIAL = (ZERO, ZERO, ZERO)
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# Every plane wave built so far, keyed by its normalised (spatial, time).
+# Every plane wave built so far, keyed by its normalised (spatial, time),
+# and the star of each wave starred so far, keyed by the wave.
 _WAVES = {}
+_STARS = {}
 
 
 class PlaneWave:
@@ -113,13 +115,18 @@ class PlaneWave:
         """W^-1 = W(-E_K q, -K); equals star(W) for real momenta."""
         ek = self.e_power(1)
         return PlaneWave(
-            tuple(-(ek * s) for s in self.spatial),
+            tuple(-(ek * s) if s else s for s in self.spatial),
             tuple((j, -n) for j, n in self.time),
         )
 
     def star(self):
-        """W(q, K)* = W(q*, K)^-1, with E and k symbols real."""
-        return PlaneWave(tuple(s.conj() for s in self.spatial), self.time).inverse()
+        """W(q, K)* = W(q*, K)^-1, with E and k symbols real; formed once
+        per wave (waves are interned, so `_STARS` keys them by identity)."""
+        star = _STARS.get(self)
+        if star is None:
+            star = _STARS[self] = PlaneWave(
+                tuple(s.conj() for s in self.spatial), self.time).inverse()
+        return star
 
     def render(self):
         if self.is_identity():
@@ -137,6 +144,7 @@ class PlaneWave:
 
 
 W_IDENTITY = PlaneWave()
+_STARS[W_IDENTITY] = W_IDENTITY
 KEY_UNIT = ((0, 0, 0), 0, W_IDENTITY)
 
 

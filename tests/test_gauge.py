@@ -254,6 +254,15 @@ def test_equal_charges_are_one_memo_key():
     assert hash(as_int) == hash(as_scalar)
 
 
+def test_a_list_config_is_its_tuple_config():
+    as_list = gauge.GaugeConfig([Z, X[1], Z, Z, Z])
+    as_tuple = gauge.GaugeConfig((Z, X[1], Z, Z, Z))
+    assert isinstance(as_list.A, tuple)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert gauge.field_strength(as_list) == gauge.field_strength(as_tuple)
+    assert not gauge.field_strength(as_list).is_zero()
+
+
 def test_charge_must_be_a_scalar():
     with pytest.raises(ValueError):
         gauge.GaugeConfig(CFG_LINEAR.A, X[0])
@@ -357,3 +366,70 @@ def test_field_strength_matches_reference(g, charged):
     got = gauge.field_strength.__wrapped__(cfg, charged)
     assert got == reference_field_strength(cfg, charged)
     assert not got.is_zero()
+
+
+# -- reference: the covariance checks and the action table with plain nesting --
+
+# At g = 2 the literal convention is not covariant: the F and divergence
+# covariance residuals have 9 and 5 nonzero components, so a wrong action
+# cannot hide behind a zero residual.
+CFG_LIVE = gauge.GaugeConfig((X[1], X[0], Z, X[3], X[2]), ScalarValue.number(2))
+
+
+def reference_f_covariance(cfg, u, charged):
+    """F~_ij - U F_kl f^k_i(f^l_j(U*)), each action a plain nested `act_f`
+    call inside the loops."""
+    f_old = gauge.field_strength(cfg, charged=charged)
+    f_new = gauge.field_strength(gauge.gauge_transform(cfg, u), charged=charged)
+    ustar = u.star()
+    out = {}
+    for i in range(5):
+        for j in range(i + 1, 5):
+            value = f_new.component(i, j)
+            for k in range(5):
+                for l in range(5):
+                    acted = act_f(k, i, act_f(l, j, ustar))
+                    value = value - u * f_old.component(k, l) * acted
+            if not value.is_zero():
+                out[i, j] = value
+    return TwoForm(out)
+
+
+def reference_divergence_covariance(cfg, u, charged):
+    """nabla~_m F~^{mk} - U nabla_m F^{mn} f_n^k(U*), each divergence the
+    loop reference above and each action a plain `act_f_lowered` call."""
+    div_old = reference_divergence(cfg, charged)
+    div_new = reference_divergence(gauge.gauge_transform(cfg, u), charged)
+    ustar = u.star()
+    out = {}
+    for k in range(5):
+        value = div_new.terms.get(k, Z)
+        for n in range(5):
+            value = value - u * div_old.terms.get(n, Z) * act_f_lowered(n, k, ustar)
+        if not value.is_zero():
+            out[k] = value
+    return IndexedMap(out)
+
+
+@pytest.mark.parametrize("u", [U1, U2], ids=["U1", "U2"])
+def test_covariance_checks_match_plain_nested_actions(u):
+    f_res = gauge.check_f_covariance(CFG_LIVE, u, charged=False)
+    div_res = gauge.check_divergence_covariance(CFG_LIVE, u, charged=False)
+    assert len(f_res.terms) == 9 and len(div_res.terms) == 5
+    assert f_res == reference_f_covariance(CFG_LIVE, u, False)
+    assert div_res == reference_divergence_covariance(CFG_LIVE, u, False)
+
+
+@pytest.mark.parametrize("a", [U1 * U2, X[0] * X[1] + X[2].scale(I) + ONE],
+                         ids=["wave", "polynomial"])
+def test_action_table_matches_direct_nesting(a):
+    table = gauge._nested_f_lowered(a)
+    assert len(table) == 625
+    for (k, l, i, j), got in table.items():
+        assert got == act_f_lowered(k, i, act_f_lowered(l, j, a))
+    acts = gauge._actions(act_f_lowered)
+    first = acts(0, 4, a)
+    assert acts(0, 4, a) is first  # computed once
+    assert acts(1, 1, a) is a  # the unit operator
+    assert acts(1, 2, a).is_zero()  # a vanishing f-entry
+    assert acts(0, 4, Z) is Z  # zero is its own image

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kmink import momentum as mom
 from kmink.action import (
+    MOM_UNIT,
     HeisenbergElement,
     _act_key,
     _act_monomial,
@@ -27,7 +28,7 @@ from kmink.minkowski import (
 )
 from kmink.momentum import MomentumElement
 from kmink.scalars import I, LIMIT, ONE, ScalarValue
-from kmink.terms import accumulate, share
+from kmink.terms import accumulate, contract, share
 
 LABELS = (1, 2, 3)
 
@@ -239,6 +240,18 @@ def test_plane_waves_are_interned_and_form_a_group(w, v):
     assert w.inverse() * w is W_IDENTITY
     assert w * W_IDENTITY is w and W_IDENTITY * w is w
     assert (w * v).inverse() is v.inverse() * w.inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(waves())
+def test_a_wave_star_is_formed_once_and_is_an_involution(w):
+    """W(q, K)* = W(q*, K)^-1, one instance per wave; the identity is its
+    own star."""
+    assert W_IDENTITY.star() is W_IDENTITY
+    star = w.star()
+    assert star is w.star()
+    assert star is PlaneWave(tuple(s.conj() for s in w.spatial), w.time).inverse()
+    assert star.star() is w
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,3 +492,31 @@ def test_products_past_the_exponent_limit_raise():
     p = MomentumElement.P(0).scale(ScalarValue.kappa(1))
     with pytest.raises(ValueError):
         act(p, x0.scale(ScalarValue.kappa(LIMIT - 1)))
+
+
+# -- the act shortcuts -----------------------------------------------------------
+
+
+def _general_act(p, a):
+    """act(p, a) through `_act_monomial` for every operator, trivial ones
+    included."""
+    return PositionElement(contract(
+        (ca.terms, _act_monomial(p, poskey)) for poskey, ca in a.terms.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rich_positions())
+def test_trivial_operators_skip_the_contraction(a):
+    """The unit operator returns its operand itself and the zero operator
+    gives zero; both agree with the general route, as does a unit operator
+    whose coefficient is an equal but unshared one."""
+    unit, zero = MomentumElement.one(), MomentumElement()
+    assert act(unit, a) is a
+    assert act(unit, a) == _general_act(unit, a)
+    assert act(zero, a).is_zero()
+    assert act(zero, a) == _general_act(zero, a)
+    fresh_one = ScalarValue.number(1)
+    assert fresh_one is not ONE
+    unshared = MomentumElement({MOM_UNIT: fresh_one})
+    assert act(unshared, a) is not a
+    assert act(unshared, a) == a

@@ -191,6 +191,16 @@ def test_cli_verify_gamma4_flag():
     assert code == 2 and "gamma4" in err
 
 
+def test_package_runs_as_the_cli():
+    """`python -m kmink` is the command line, with its exit codes."""
+    for argv, want in ((("eval", "x1 * x2"), 0), (("eval", "(x0"), 2)):
+        proc = subprocess.run([sys.executable, "-m", "kmink", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == want, proc.stderr
+        if want == 0:
+            assert proc.stdout.strip() == "x1 * x2"
+
+
 def test_main_entry_direct(capsys):
     assert main(["eval", "x1 * x2"]) == 0
     assert "x1 * x2" in capsys.readouterr().out
