@@ -9,7 +9,6 @@ the exterior derivative through the Clifford image of the basis forms.
 """
 
 from kmink import (
-    GammaRep,
     Gamma4,
     GAMMA4_ZERO,
     MomentumElement,
@@ -26,11 +25,10 @@ print("failures:", list(dirac.check_clifford_relations().terms))
 
 print()
 print("== D^2 against the wave operator ==")
-residual, asserted = dirac.check_dirac_square(GammaRep(GAMMA4_ZERO))
+residual = dirac.check_dirac_square(GAMMA4_ZERO)
 print("gamma4 = 0:        D^2 - box * Id =", residual.render())
 for kind in ("unit", "gamma5"):
-    rep = GammaRep(Gamma4(kind, ScalarValue.number(1)))
-    residual, _ = dirac.check_dirac_square(rep)
+    residual = dirac.check_dirac_square(Gamma4(kind, ScalarValue.number(1)))
     top_left = residual.terms.get((0, 0), MomentumElement.zero()).render()
     print(f"gamma4 = {kind:6s}:   residual[0][0] = {top_left}  (reported only)")
 
@@ -38,16 +36,16 @@ print()
 print("== the commutative square [D, a] psi = del_i(a) tau^i_c psi ==")
 psi = IndexedMap({0: x[2], 2: x[1] * x[0], 3: PositionElement.one()})
 for kind, rep in (
-    ("zero", GammaRep(GAMMA4_ZERO)),
-    ("unit", GammaRep(Gamma4("unit", ScalarValue.number(1)))),
-    ("gamma5", GammaRep(Gamma4("gamma5", ScalarValue.number(1)))),
+    ("zero", GAMMA4_ZERO),
+    ("unit", Gamma4("unit", ScalarValue.number(1))),
+    ("gamma5", Gamma4("gamma5", ScalarValue.number(1))),
 ):
     res = dirac.check_diagram(x[1] * x[0], psi, rep)
     print(f"gamma4 = {kind:6s}: residual spinor zero? {res.is_zero()}")
 
 print()
 print("== Clifford image of the basis forms ==")
-img = dirac.clifford_image(1, GammaRep(GAMMA4_ZERO))
+img = dirac.clifford_image(1, GAMMA4_ZERO)
 print("tau^1_c entries (row 0):",
       [img.terms.get((0, c), MomentumElement.zero()).render() for c in range(4)])
 limit = img.map_coeffs(lambda p: p.kappa_expand(0))

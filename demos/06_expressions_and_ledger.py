@@ -6,7 +6,7 @@ one grammar; the verification suites turn the whole construction into a
 machine-readable list of pass/fail records.
 """
 
-from kmink import evaluate_text, parse, render, render_value
+from kmink import evaluate_text, parse, render
 from kmink.suites import RunConfig, render_jsonl, run_suite
 
 print("== parse / render round trip ==")
@@ -28,7 +28,7 @@ for text in (
     "(1/2) * E[1] + (1/2) * E[1]^-1",
     "[P1, x1]",
 ):
-    print(f"{text:34s} =", render_value(evaluate_text(text)))
+    print(f"{text:34s} =", evaluate_text(text).render())
 
 print()
 print("== the ledger ==")

@@ -24,9 +24,9 @@ from .action import (
     word,
 )
 from .forms import OneForm, TwoForm, exterior_d
-from .dirac import Gamma4, GammaRep, GAMMA4_ZERO, build_dirac, clifford_image
+from .dirac import Gamma4, GAMMA4_ZERO, build_dirac, clifford_image
 from .gauge import GaugeConfig, field_strength, gauge_transform
-from .expr import evaluate, evaluate_text, parse, render, render_value
+from .expr import evaluate, evaluate_text, parse, render
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "HeisenbergElement", "act", "act_derivative", "act_f", "act_f_lowered",
     "word",
     "OneForm", "TwoForm", "exterior_d",
-    "Gamma4", "GammaRep", "GAMMA4_ZERO", "build_dirac", "clifford_image",
+    "Gamma4", "GAMMA4_ZERO", "build_dirac", "clifford_image",
     "GaugeConfig", "field_strength", "gauge_transform",
-    "parse", "render", "evaluate", "evaluate_text", "render_value",
+    "parse", "render", "evaluate", "evaluate_text",
 ]

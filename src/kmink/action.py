@@ -28,9 +28,9 @@ closed form: each factor (-i d + c1 R + c0)^n is one binomial sum, and
 their product applies sigma^s (s the net shift count) to the x^0 power
 left by d_0, one `binomial_shift`.  `_pass_momentum` is that expansion
 and keeps every remainder; `HeisenbergElement.mono_mul`, the memoised
-normal form of one mixed monomial times another, is built from it and the
-position `_mono_mul`, and the term-map core forms products and sums of
-products of mixed words from it.  The left action `act` is the vacuum
+normal form of one mixed monomial times another, is built from it and
+`PositionElement.mono_mul`, and the term-map core forms products and sums
+of products of mixed words from it.  The left action `act` is the vacuum
 projection of the same expansion (`_act_key`): the terms with a P
 remainder drop out and an Exp remainder goes to 1, the momentum counit.
 """
@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import comb, perm
 
 from . import momentum as mom
-from .minkowski import KEY_UNIT, PositionElement, _mono_mul, binomial_shift
+from .minkowski import KEY_UNIT, PositionElement, binomial_shift
 from .scalars import ONE, ScalarValue
 from .terms import TermMap, contract, share
 
@@ -188,13 +188,14 @@ class HeisenbergElement(TermMap):
     @lru_cache(maxsize=200000)
     def mono_mul(key1, key2):
         """(p1 m1)(p2 m2) = p1 (m1 p2) m2: m1 passes p2 (`_pass_momentum`),
-        each piece's position part multiplies p1 (`_mono_mul`) and its
-        momentum part m2; shared (key, ScalarValue) pairs."""
+        each piece's position part multiplies p1 (`PositionElement.mono_mul`)
+        and its momentum part m2; shared (key, ScalarValue) pairs."""
         (p1, m1), (p2, m2) = key1, key2
         images = []
         for pmid, mmid, cmid in _pass_momentum(m1, p2):
             mk = mom.key_mul(mmid, m2)
-            images.append((cmid.terms, tuple(((pk, mk), c) for pk, c in _mono_mul(p1, pmid))))
+            images.append((cmid.terms, tuple(((pk, mk), c)
+                                             for pk, c in PositionElement.mono_mul(p1, pmid))))
         return tuple((share(k), share(c)) for k, c in contract(images).items())
 
     @classmethod

@@ -19,8 +19,7 @@ import gc
 import sys
 
 from . import dirac, suites
-from .expr import (ExprError, EvalError, _act, _ext_d, evaluate, parse as parse_expr,
-                   render, render_value)
+from .expr import Act, EvalError, ExprError, ExtD, evaluate, parse as parse_expr, render
 from .minkowski import PositionElement
 from .scalars import ScalarValue
 
@@ -50,21 +49,17 @@ def _cmd_parse(args):
 
 
 def _cmd_eval(args):
-    value = evaluate(parse_expr(args.expr))
-    print(render_value(value))
+    print(evaluate(parse_expr(args.expr)).render())
     return 0
 
 
 def _cmd_act(args):
-    p = evaluate(parse_expr(args.momentum))
-    a = evaluate(parse_expr(args.position))
-    print(_act(p, a).render())
+    print(evaluate(Act(parse_expr(args.momentum), parse_expr(args.position))).render())
     return 0
 
 
 def _cmd_d(args):
-    value = evaluate(parse_expr(args.expr))
-    print(render_value(_ext_d(value)))
+    print(evaluate(ExtD(parse_expr(args.expr))).render())
     return 0
 
 
@@ -228,7 +223,7 @@ def _run(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ExprError, EvalError, ValueError) as exc:
+    except ValueError as exc:  # ExprError and EvalError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,11 +80,16 @@ ZERO4 = Matrix()
 
 
 class Gamma4(Record):
-    """The fifth gamma slot: kind in {"zero", "unit", "gamma5"}, and its
-    scalar coefficient."""
+    """A gamma-matrix representation, fixed by its fifth slot: kind in
+    {"zero", "unit", "gamma5"}, and its scalar coefficient."""
 
     __slots__ = ("kind", "coeff")
     DEFAULTS = {"coeff": ONE}
+
+    @property
+    def gammas(self):
+        """gamma^0..gamma^3 plus the chosen fifth matrix."""
+        return (GAMMA0, GAMMA1, GAMMA2, GAMMA3, self.matrix())
 
     def matrix(self):
         if self.kind == "zero":
@@ -97,18 +102,6 @@ class Gamma4(Record):
 
 
 GAMMA4_ZERO = Gamma4("zero", ZERO)
-
-
-class GammaRep(Record):
-    """A gamma-matrix representation together with the gamma_4 choice."""
-
-    __slots__ = ("gamma4",)
-    DEFAULTS = {"gamma4": GAMMA4_ZERO}
-
-    @property
-    def gammas(self):
-        """gamma^0..gamma^3 plus the chosen fifth matrix."""
-        return (GAMMA0, GAMMA1, GAMMA2, GAMMA3, self.gamma4.matrix())
 
 
 def check_clifford_relations():
@@ -184,8 +177,7 @@ def check_diagram(a, psi, rep):
 def check_dirac_square(rep):
     """D^2 - box * Id; asserted to vanish only for the gamma_4 = 0 choice."""
     d_op = build_dirac(rep)
-    residual = d_op * d_op - op_from_matrix(ID4, box())
-    return residual, rep.gamma4.kind == "zero"
+    return d_op * d_op - op_from_matrix(ID4, box())
 
 
 def check_antihermiticity():

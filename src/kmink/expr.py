@@ -614,12 +614,5 @@ def _lift_scalar(s, like):
     raise EvalError(f"cannot combine a scalar with {type(like).__name__}")
 
 
-def render_value(v):
-    """Grammar-compatible text for an evaluated value."""
-    if isinstance(v, tuple):
-        return "(" + ", ".join(render_value(c) for c in v) + ")"
-    return v.render()
-
-
 def evaluate_text(text):
     return evaluate(parse(text))

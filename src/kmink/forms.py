@@ -94,10 +94,6 @@ class TwoForm(TermMap):
             return -self.terms.get((j, i), PositionElement.zero())
         return PositionElement.zero()
 
-    def raised(self, i, j):
-        """The (i, j) component with both indices moved by the 5-metric."""
-        return self.component(i, j).scale(METRIC5[i] * METRIC5[j])
-
     def _render_term(self, key, c):
         i, j = key
         return f"({c.render()}) * tau[{i}]^tau[{j}]"

@@ -50,10 +50,6 @@ def rand_position(rng, max_degree, n_terms=3, waves=False):
     return acc
 
 
-def rand_polynomial(rng, max_degree, n_terms=3):
-    return rand_position(rng, max_degree, n_terms, waves=False)
-
-
 def rand_momentum(rng, max_degree, n_terms=3):
     acc = MomentumElement.zero()
     for _ in range(n_terms):

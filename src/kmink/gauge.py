@@ -22,8 +22,8 @@ read through its stored i < j components: (j, i) is their negation and a
 raised component carries the real metric sign, so each is multiplied by
 U or starred once.  The nested f-actions f^i_k(f^j_l(X)) of one
 construction share one table (`_actions`), so each action is computed
-once per construction; the table is keyed by the operand object, which
-the unit f-entries hand back unchanged (`action.act`), so f^i_k(f^m_m(X))
+once per construction; the table is keyed by the operand's value, and the
+unit f-entries hand back their operand (`action.act`), so f^i_k(f^m_m(X))
 reuses f^i_k(X).  The mixed-word sums of the covariant derivative and its
 commutator identity are one `HeisenbergElement.dot` each.
 """
@@ -53,11 +53,6 @@ class GaugeConfig(Record):
             raise ValueError(f"the charge must be a scalar, not {type(g).__name__}")
         super().__init__(tuple(A), charge)  # equal charges hash equal
 
-    @staticmethod
-    def from_potentials(*A, g=ONE):
-        pots = list(A) + [PositionElement.zero()] * (5 - len(A))
-        return GaugeConfig(tuple(pots), g)
-
     def connection_form(self):
         """omega = i A_k tau^k."""
         return OneForm.collect((k, a.scale(I)) for k, a in enumerate(self.A))
@@ -66,12 +61,12 @@ class GaugeConfig(Record):
 def read_config_text(text):
     """Parse a plain-text fixture: lines `A0..A4 = <expr>` and `g = <expr>`.
 
-    Missing potentials default to zero; the charge defaults to one.
+    Missing potentials default to zero; the charge defaults to one.  A field
+    given twice is an error.
     """
     from .expr import evaluate_text
 
-    pots = {f"A{k}": PositionElement.zero() for k in range(5)}
-    charge = ONE
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,30 +74,28 @@ def read_config_text(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected `name = expression`")
         name, rhs = (part.strip() for part in line.split("=", 1))
+        if name in fields:
+            raise ValueError(f"line {lineno}: {name} is given twice")
         value = evaluate_text(rhs)
         if name == "g":
             if not isinstance(value, ScalarValue):
                 raise ValueError(f"line {lineno}: the charge must be a scalar")
-            charge = value
-        elif name in pots:
+        elif name in ("A0", "A1", "A2", "A3", "A4"):
             if isinstance(value, ScalarValue):
                 value = PositionElement.scalar(value)
             if not isinstance(value, PositionElement):
                 raise ValueError(f"line {lineno}: {name} must be a position element")
-            pots[name] = value
         else:
             raise ValueError(f"line {lineno}: unknown field {name!r}")
-    return GaugeConfig(tuple(pots[f"A{k}"] for k in range(5)), charge)
-
-
-def check_unitary(u):
-    """U U* = U* U = 1 in the coordinate algebra."""
-    one = PositionElement.one()
-    return (u * u.star()) == one and (u.star() * u) == one
+        fields[name] = value
+    return GaugeConfig(tuple(fields.get(f"A{k}", PositionElement.zero()) for k in range(5)),
+                       fields.get("g", ONE))
 
 
 def _require_unitary(u):
-    if not check_unitary(u):
+    """U U* = U* U = 1 in the coordinate algebra, or a ValueError."""
+    one, ustar = PositionElement.one(), u.star()
+    if u * ustar != one or ustar * u != one:
         raise ValueError("gauge transformations need a unitary element")
 
 
@@ -163,7 +156,11 @@ def gauge_transform(cfg, u):
     """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*).  Memoised per (cfg, u)."""
     _require_unitary(u)
     ustar = u.star()
-    inv_g = cfg.g.inverse()
+    try:
+        inv_g = cfg.g.inverse()
+    except ValueError:
+        raise ValueError("gauge transformations need an invertible charge, "
+                         f"not g = {cfg.g.render()}") from None
     u_a = [(j, u * a) for j, a in enumerate(cfg.A) if not a.is_zero()]
     new_A = []
     for k in range(5):
@@ -174,20 +171,18 @@ def gauge_transform(cfg, u):
 
 def _actions(act):
     """`act` (`act_f` or `act_f_lowered`) for the length of one construction,
-    each action computed once: memoised by (i, j, id(a)), each entry keeping
-    `a` alive so that no id is reused while the table lives.  A zero `a` is
-    its own image.  The table goes when the construction drops the
-    returned function."""
+    each action computed once: memoised by (i, j, a), as values are immutable
+    and cache their hash.  A zero `a` is its own image.  The table goes when
+    the construction drops the returned function."""
     table = {}
 
     def acts(i, j, a):
         if not a.terms:
             return a
-        key = (i, j, id(a))
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = (act(i, j, a), a)
-        return entry[0]
+        out = table.get((i, j, a))
+        if out is None:
+            out = table[i, j, a] = act(i, j, a)
+        return out
 
     return acts
 

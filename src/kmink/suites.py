@@ -37,13 +37,13 @@ from .terms import IndexedMap, Record
 SUITE_NAMES = ("hopf", "action", "calculus", "dirac", "gauge", "limit")
 
 
-class CheckRecord(Record, frozen=False):
-    # status: "pass" | "fail" | "reported"; wall_ms is set after the suite ran
+class CheckRecord(Record):
+    # status: "pass" | "fail" | "reported"; `_run_one` adds wall_ms to a suite's records
     __slots__ = ("suite", "check_id", "equation", "status", "residual", "wall_ms")
     DEFAULTS = {"residual": "0", "wall_ms": 0.0}
 
 
-class RunConfig(Record, frozen=False):
+class RunConfig(Record):
     __slots__ = ("seed", "max_degree", "gamma4")
     DEFAULTS = {"seed": 42, "max_degree": 2, "gamma4": dirac.GAMMA4_ZERO}
 
@@ -81,7 +81,7 @@ def suite_hopf(cfg):
     out.append(_check("hopf", "antipode-antihom-x0x1", "1.4", res))
 
     for n in range(6):
-        a = fuzz.rand_polynomial(rng, cfg.max_degree)
+        a = fuzz.rand_position(rng, cfg.max_degree)
         back = a.coproduct().left_counit()
         out.append(_check("hopf", f"counit-axiom-{n:02d}", "1.4", back - a))
         folded = a.coproduct().multiply_legs(lambda e: e.antipode())
@@ -421,40 +421,34 @@ def suite_dirac(cfg):
     out.append(_check("dirac", "clifford-relations", "2.8",
                       dirac.check_clifford_relations()))
 
-    rep = dirac.GammaRep(cfg.gamma4)
-    rep_zero = dirac.GammaRep(dirac.GAMMA4_ZERO)
+    rep_zero = dirac.GAMMA4_ZERO
+    reps = (rep_zero, dirac.Gamma4("unit"), dirac.Gamma4("gamma5"))  # lambda = 1
 
-    res, asserted = dirac.check_dirac_square(rep_zero)
-    out.append(_check("dirac", "dirac-square-gamma4-zero", "2.9", res))
-    lam = ScalarValue.number(1)
-    for kind in ("unit", "gamma5"):
-        rep_k = dirac.GammaRep(dirac.Gamma4(kind, lam))
-        res_k, _ = dirac.check_dirac_square(rep_k)
-        out.append(_reported("dirac", f"dirac-square-residual-{kind}", "2.9",
-                             res_k.render()))
+    out.append(_check("dirac", "dirac-square-gamma4-zero", "2.9",
+                      dirac.check_dirac_square(rep_zero)))
+    for rep_k in reps[1:]:
+        out.append(_reported("dirac", f"dirac-square-residual-{rep_k.kind}", "2.9",
+                             dirac.check_dirac_square(rep_k).render()))
 
-    reps = [rep_zero,
-            dirac.GammaRep(dirac.Gamma4("unit", ScalarValue.number(1))),
-            dirac.GammaRep(dirac.Gamma4("gamma5", ScalarValue.number(1)))]
     n_pairs = 50 if cfg.max_degree >= 2 else 12
-    for rep_i, rep_k in enumerate(reps):
+    for rep_k in reps:
         for n in range(n_pairs):
             a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
             psi = fuzz.rand_spinor(rng, min(cfg.max_degree, 2))
-            out.append(_check("dirac", f"diagram-{rep_k.gamma4.kind}-{n:02d}", "0.8",
+            out.append(_check("dirac", f"diagram-{rep_k.kind}-{n:02d}", "0.8",
                               dirac.check_diagram(a, psi, rep_k)))
 
     for n in range(6):
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
         psi = fuzz.rand_spinor(rng, min(cfg.max_degree, 2))
         i = rng.randrange(5)
-        lhs = dirac.op_apply(dirac.clifford_image(i, rep), psi.left_mul(a))
+        lhs = dirac.op_apply(dirac.clifford_image(i, cfg.gamma4), psi.left_mul(a))
         rhs = IndexedMap()
         for j in range(5):
             fa = act_f(i, j, a)
             if fa.is_zero():
                 continue
-            rhs = rhs + dirac.op_apply(dirac.clifford_image(j, rep), psi).left_mul(fa)
+            rhs = rhs + dirac.op_apply(dirac.clifford_image(j, cfg.gamma4), psi).left_mul(fa)
         out.append(_check("dirac", f"clifford-bimodule-{n:02d}", "1.21", lhs - rhs))
 
     for i, text in dirac.check_antihermiticity():
@@ -589,10 +583,9 @@ def suite_limit(cfg):
     )
     res = sh_scalar.kappa_expand(1) - ScalarValue.k(1, 0) * ScalarValue.kappa(-1)
     out.append(_check("limit", "kappa-expand-sh-order1", "3.25", res))
-    rep = dirac.GammaRep(dirac.GAMMA4_ZERO)
     for mu in range(4):
         out.append(_check("limit", f"clifford-image-limit-{mu}", "2.10",
-                          _clifford_image_limit_residual(rep, mu)))
+                          _clifford_image_limit_residual(dirac.GAMMA4_ZERO, mu)))
     return out
 
 
@@ -636,10 +629,9 @@ def _run_one(name, cfg):
         traceback.print_exc()
         records = [CheckRecord(name, f"{name}-raised", "n/a", "fail",
                                f"{type(exc).__name__}: {exc}")]
-    elapsed = (time.perf_counter() - t0) * 1000.0 / max(1, len(records))
-    for r in records:
-        r.wall_ms = round(elapsed, 3)
-    return records
+    wall_ms = round((time.perf_counter() - t0) * 1000.0 / max(1, len(records)), 3)
+    return [CheckRecord(r.suite, r.check_id, r.equation, r.status, r.residual, wall_ms)
+            for r in records]
 
 
 def render_table(records):

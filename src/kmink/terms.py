@@ -385,20 +385,11 @@ class Record:
     order from the constructor's positional and keyword arguments; a field
     not given takes its value from the class's `DEFAULTS` {field: value}.
     Two records are equal when they are of one class with equal fields.  A
-    record is frozen and hashable unless its class is declared
-    `class R(Record, frozen=False)`: then its fields can be assigned and it
-    has no hash, as it has no stable value."""
+    record is frozen and hashable: a changed value is a new record."""
 
     __slots__ = ()
 
     DEFAULTS = {}
-
-    def __init_subclass__(cls, frozen=True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self.__slots__

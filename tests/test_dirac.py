@@ -11,9 +11,9 @@ from kmink.scalars import ScalarValue
 from kmink.terms import IndexedMap
 
 X = [PositionElement.x(mu) for mu in range(4)]
-REP_ZERO = dirac.GammaRep(dirac.GAMMA4_ZERO)
-REP_UNIT = dirac.GammaRep(dirac.Gamma4("unit", ScalarValue.number(2)))
-REP_G5 = dirac.GammaRep(dirac.Gamma4("gamma5", ScalarValue.number(1)))
+REP_ZERO = dirac.GAMMA4_ZERO
+REP_UNIT = dirac.Gamma4("unit", ScalarValue.number(2))
+REP_G5 = dirac.Gamma4("gamma5", ScalarValue.number(1))
 ALL_REPS = (REP_ZERO, REP_UNIT, REP_G5)
 
 
@@ -22,14 +22,11 @@ def test_clifford_relations():
 
 
 def test_dirac_square_zero_choice():
-    residual, asserted = dirac.check_dirac_square(REP_ZERO)
-    assert asserted
-    assert residual.is_zero()
+    assert dirac.check_dirac_square(REP_ZERO).is_zero()
 
 
 def test_dirac_square_unit_choice_residual():
-    residual, asserted = dirac.check_dirac_square(REP_UNIT)
-    assert not asserted
+    residual = dirac.check_dirac_square(REP_UNIT)
     # residual = lam^2 del4^2 Id + 2 lam gamma^mu del_mu del_4
     d = mom.derivatives()
     lam = ScalarValue.number(2)
@@ -42,11 +39,17 @@ def test_dirac_square_unit_choice_residual():
 
 
 def test_dirac_square_gamma5_choice_residual():
-    residual, asserted = dirac.check_dirac_square(REP_G5)
-    assert not asserted
+    residual = dirac.check_dirac_square(REP_G5)
     d4 = mom.derivatives()[4]
     want = dirac.op_from_matrix(dirac.ID4, d4 * d4)
     assert (residual - want).is_zero()
+
+
+def test_representation_memos_hit_by_value():
+    unit = dirac.build_dirac(dirac.Gamma4("unit", 2))
+    assert dirac.build_dirac(dirac.Gamma4("unit", 2)) is unit
+    assert dirac.clifford_image(1, dirac.Gamma4("gamma5")) is dirac.clifford_image(1, REP_G5)
+    assert REP_UNIT.gammas[4] == dirac.ID4.scale(2) and REP_ZERO.gammas[4] == dirac.ZERO4
 
 
 def test_dirac_kills_constant_spinor():

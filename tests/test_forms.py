@@ -12,7 +12,7 @@ from kmink.forms import (
     check_tau4_definition,
     exterior_d,
 )
-from kmink.fuzz import rand_oneform, rand_polynomial, rand_position
+from kmink.fuzz import rand_oneform, rand_position
 from kmink.minkowski import PositionElement
 from kmink.momentum import METRIC5
 from kmink.scalars import ScalarValue
@@ -108,7 +108,7 @@ def test_star_form():
         # hermitian-coefficient forms: polynomial coefficients fixed by star
         comps = []
         for _i in range(5):
-            a = rand_polynomial(rng, 2, n_terms=1)
+            a = rand_position(rng, 2, n_terms=1)
             comps.append(a + a.star())
         w = OneForm.collect(enumerate(comps))
         assert w.star().star() == w
@@ -120,7 +120,7 @@ def test_metric_centrality():
     assert check_metric_centrality(X[0]).is_zero()
     assert check_metric_centrality(X[1] * X[0]).is_zero()
     for _ in range(50):
-        a = rand_polynomial(rng, 2, n_terms=2)
+        a = rand_position(rng, 2, n_terms=2)
         assert check_metric_centrality(a).is_zero()
 
 

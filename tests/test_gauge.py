@@ -8,9 +8,11 @@ import pytest
 
 from kmink import gauge
 from kmink.action import act_derivative, act_f, act_f_lowered
+from kmink.cli import main
 from kmink.forms import TwoForm
-from kmink.fuzz import rand_polynomial
+from kmink.fuzz import rand_position
 from kmink.minkowski import PlaneWave, PositionElement
+from kmink.momentum import METRIC5
 from kmink.scalars import I, ONE, ScalarValue
 from kmink.terms import IndexedMap
 
@@ -24,12 +26,6 @@ CFG_MIXED = gauge.GaugeConfig(
     (PositionElement.scalar(ScalarValue.number(1, 1)), X[2], X[1], Z, X[0])
 )
 ALL_CFGS = (CFG_LINEAR, CFG_FULL, CFG_MIXED)
-
-
-def test_from_potentials_pads_with_zeros():
-    cfg = gauge.GaugeConfig.from_potentials(Z, X[0])
-    assert cfg.A == CFG_LINEAR.A
-    assert cfg.g == ScalarValue.number(1)
 
 
 def test_config_checks_and_coerces():
@@ -122,8 +118,8 @@ def test_invariants_golden_value():
 def test_c_minus_is_star_of_c_plus():
     rng = random.Random(79)
     for _ in range(6):
-        cfg = gauge.GaugeConfig(tuple(rand_polynomial(rng, 1, n_terms=1)
-                                      for _ in range(5)))
+        cfg = gauge.GaugeConfig(tuple(rand_position(rng, 1, n_terms=1)
+                                    for _ in range(5)))
         _c, c_plus, c_minus = gauge.invariants(cfg)
         assert c_minus == c_plus.star()
 
@@ -140,7 +136,7 @@ def test_commutator_identity_on_elements():
     live = gauge.GaugeConfig(CFG_FULL.A, ScalarValue.number(2))
     op01 = gauge.check_commutator_identity(live, 0, 1)
     for _ in range(50):
-        a = rand_polynomial(rng, 2, n_terms=2)
+        a = rand_position(rng, 2, n_terms=2)
         assert op01.apply(a).is_zero()
 
 
@@ -209,8 +205,25 @@ def test_classical_limit_rejects_waves():
 
 def test_charge_must_be_invertible():
     bad = gauge.GaugeConfig((Z,) * 5, ScalarValue.k(1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invertible charge, not g = k"):
         gauge.gauge_transform(bad, U1)
+
+
+@pytest.mark.parametrize("charge", ["0", "1 + kappa"], ids=["zero", "two-term"])
+def test_cli_names_a_non_invertible_charge(tmp_path, capsys, charge):
+    """`gauge verify` and `gauge transform` need 1/g and say so, naming
+    g; `fstrength` and `limit` need no inverse and still run."""
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"A1 = x0\ng = {charge}\n")
+    shown = gauge.read_config_text(f"g = {charge}").g.render()
+    for argv in (["verify"], ["transform", "--unitary", "W[1]"]):
+        assert main(["gauge", *argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "gauge transformations need an invertible charge" in err
+        assert f"g = {shown}" in err and "monomial" not in err
+    if charge == "0":
+        assert main(["gauge", "fstrength", "--config", str(path)]) == 0
+        assert main(["gauge", "limit", "--config", str(path)]) == 0
 
 
 def test_read_config_text():
@@ -234,6 +247,18 @@ def test_read_config_text():
         gauge.read_config_text("g = x0")
     with pytest.raises(ValueError):
         gauge.read_config_text("A1 = P0")
+
+
+@pytest.mark.parametrize("text, line", [("A1 = x0\nA1 = x1", "line 2: A1"),
+                                        ("g = 2\n# comment\ng = 3", "line 3: g")],
+                         ids=["potential", "charge"])
+def test_a_field_given_twice_is_an_error(tmp_path, capsys, text, line):
+    with pytest.raises(ValueError, match=f"{line} is given twice"):
+        gauge.read_config_text(text)
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["gauge", "fstrength", "--config", str(path)]) == 2
+    assert f"{line} is given twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("g", [ScalarValue.number(2), 2], ids=["scalar", "int"])
@@ -267,7 +292,7 @@ def test_charge_must_be_a_scalar():
     with pytest.raises(ValueError):
         gauge.GaugeConfig(CFG_LINEAR.A, X[0])
     with pytest.raises(ValueError):
-        gauge.GaugeConfig.from_potentials(X[0], g="2")
+        gauge.GaugeConfig(CFG_LINEAR.A, "2")
 
 
 def test_strength_memo_tells_charges_apart():
@@ -287,6 +312,11 @@ def test_strength_memo_tells_charges_apart():
 # -- reference: invariants and divergence with every component re-read --------
 
 
+def _raised(strength, i, j):
+    """The (i, j) component with both indices moved by the 5-metric."""
+    return strength.component(i, j).scale(METRIC5[i] * METRIC5[j])
+
+
 def reference_invariants(cfg, charged):
     """C, C_+ and C_- with each component read, raised and starred inside
     the loops, as written in the definitions."""
@@ -297,10 +327,10 @@ def reference_invariants(cfg, charged):
             f_low = strength.component(i, j)
             if f_low.is_zero():
                 continue
-            c = c + strength.raised(i, j) * f_low.star()
+            c = c + _raised(strength, i, j) * f_low.star()
             for k in range(5):
                 for l in range(5):
-                    fkl_up = strength.raised(k, l)
+                    fkl_up = _raised(strength, k, l)
                     if fkl_up.is_zero():
                         continue
                     acted = act_f(i, k, act_f(j, l, fkl_up))
@@ -319,15 +349,15 @@ def reference_divergence(cfg, charged):
     for k in range(5):
         acc = Z
         for m in range(5):
-            acc = acc + act_derivative(m, strength.raised(m, k))
+            acc = acc + act_derivative(m, _raised(strength, m, k))
         correction = Z
         for j in range(5):
             for m in range(5):
-                correction = correction + cfg.A[j] * act_f(j, m, strength.raised(m, k))
+                correction = correction + cfg.A[j] * act_f(j, m, _raised(strength, m, k))
             for m in range(5):
                 for n in range(5):
                     acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
-                    correction = correction - strength.raised(m, n) * acted
+                    correction = correction - _raised(strength, m, n) * acted
         value = acc + correction.scale(I * cfg.g)
         if not value.is_zero():
             out[k] = value
@@ -427,9 +457,19 @@ def test_action_table_matches_direct_nesting(a):
     assert len(table) == 625
     for (k, l, i, j), got in table.items():
         assert got == act_f_lowered(k, i, act_f_lowered(l, j, a))
-    acts = gauge._actions(act_f_lowered)
+    calls = []
+
+    def counted(i, j, b):
+        calls.append((i, j))
+        return act_f_lowered(i, j, b)
+
+    acts = gauge._actions(counted)
+    twin = PositionElement(dict(a.terms))  # equal to a, another object
+    assert twin == a and twin is not a
     first = acts(0, 4, a)
-    assert acts(0, 4, a) is first  # computed once
+    assert acts(0, 4, a) is first and acts(0, 4, twin) is first  # computed once
+    assert calls == [(0, 4)]
     assert acts(1, 1, a) is a  # the unit operator
     assert acts(1, 2, a).is_zero()  # a vanishing f-entry
     assert acts(0, 4, Z) is Z  # zero is its own image
+    assert acts(2, 3, acts(0, 4, twin)) == act_f_lowered(2, 3, act_f_lowered(0, 4, a))

@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from kmink import dirac, suites
 from kmink.action import word
 from kmink.cli import main
@@ -54,8 +56,18 @@ def test_run_config_and_check_record_fields():
     assert suites.RunConfig(seed=7).max_degree == 2
     record = suites.CheckRecord("limit", "id", "1.12", "pass")
     assert (record.residual, record.wall_ms) == ("0", 0.0)
-    record.wall_ms = 1.5
-    assert record == suites.CheckRecord("limit", "id", "1.12", "pass", "0", 1.5)
+    for value, field in ((cfg, "seed"), (record, "wall_ms")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    assert hash(cfg) == hash(suites.RunConfig(seed=42))
+
+
+def test_every_record_carries_its_suite_wall_ms():
+    cfg = suites.RunConfig(max_degree=1)
+    for name in ("hopf", "limit"):
+        records = suites.run_suite(name, cfg)
+        walls = {r.wall_ms for r in records}
+        assert len(walls) == 1 and walls.pop() > 0, (name, walls)
 
 
 def test_a_raising_suite_is_a_fail_record(monkeypatch, tmp_path, capsys):
@@ -92,7 +104,7 @@ def test_check_status_and_text_come_from_the_residual():
         tau0.left_mul(x0),
         tau0.wedge(OneForm.basis(1)),
         rand_spinor(random.Random(5), 1),
-        dirac.clifford_image(1, dirac.GammaRep(dirac.GAMMA4_ZERO)),
+        dirac.clifford_image(1, dirac.GAMMA4_ZERO),
         IndexedMap({"C": x0}),
         word(x0, MomentumElement.P(0)),
     ]
