@@ -8,7 +8,7 @@ are certified here entry by entry.
 """
 
 from kmink import MomentumElement, box, derivatives, f_matrix, vector_fields
-from kmink.momentum import verify_box_identities, verify_f_identities
+from kmink.momentum import box_identities, f_coproducts, f_orthogonality
 
 P = [MomentumElement.P(mu) for mu in range(4)]
 
@@ -35,13 +35,16 @@ print("e[4]   =", e[4].render())
 
 print()
 print("== certified identity systems ==")
-records = verify_f_identities()
+records = [*f_orthogonality(), *f_coproducts()]
 bad = [r for r in records if not r[2].is_zero()]
 print(f"orthogonality + coproduct systems: {len(records)} identities,"
       f" {len(bad)} failures")
 
-for name, eq, residual in verify_box_identities():
-    print(f"eq {eq}: {name}: residual = {residual.render()}")
+box_checks = {eq: residual for _id, eq, residual in box_identities()}
+print(f"eq 1.12: box = kappa^2 + (e^4)^2: residual = {box_checks['1.12'].render()}")
+print(f"eq 2.9: del_0^2 - sum del_m^2 = box: residual = {box_checks['2.9'].render()}")
+print("eq derived-convention: box at kappa order 0 (sign convention: -(P_0^2 - P^2)):"
+      f" residual = {box().kappa_expand(0).render()}")
 
 print()
 print("== the wave operator ==")

@@ -107,7 +107,8 @@ def _cmd_gauge(args):
 
     cfg = _load_gauge_config(args.config)
     if args.gauge_verb == "fstrength":
-        strength = gauge.field_strength(cfg, charged=args.charged)
+        # the published form is the strength of the same potentials at g = 1
+        strength = gauge.field_strength(cfg if args.charged else gauge.GaugeConfig(cfg.A))
         print(gauge.render_strength(strength))
         return 0
     if args.gauge_verb == "transform":
@@ -138,11 +139,11 @@ def _cmd_gauge(args):
             if not ok:
                 for key, value in sorted(residuals.terms.items()):
                     print(f"       residual {key}: {value.render()}")
-    res_charged, res_literal = gauge.curvature_cross_check(cfg)
-    charged_text = "empty" if res_charged.is_zero() else res_charged.render()
-    literal_text = "empty" if res_literal.is_zero() else "nonzero (expected unless g = 1)"
-    print(f"[INFO] curvature two-route: charged-form residual {charged_text}; "
-          f"literal-form residual {literal_text}")
+    res_strength, res_published = gauge.curvature_cross_check(cfg)
+    strength_text = "empty" if res_strength.is_zero() else res_strength.render()
+    published_text = "empty" if res_published.is_zero() else "nonzero (expected unless g = 1)"
+    print(f"[INFO] curvature two-route: charged-form residual {strength_text}; "
+          f"literal-form residual {published_text}")
     return 1 if failures else 0
 
 

@@ -84,7 +84,12 @@ class Gamma4(Record):
     {"zero", "unit", "gamma5"}, and its scalar coefficient."""
 
     __slots__ = ("kind", "coeff")
-    DEFAULTS = {"coeff": ONE}
+
+    def __init__(self, kind, coeff=ONE):
+        scalar = ScalarValue._coerce(coeff)
+        if scalar is NotImplemented:
+            raise ValueError(f"a gamma4 coefficient is a scalar, not {type(coeff).__name__}")
+        super().__init__(kind, scalar)  # equal coefficients are one memo key
 
     @property
     def gammas(self):

@@ -94,6 +94,17 @@ class TwoForm(TermMap):
             return -self.terms.get((j, i), PositionElement.zero())
         return PositionElement.zero()
 
+    def entries(self, raised=False):
+        """{(i, j): F_ij} over both orders of each stored component, (j, i)
+        the negation of (i, j); with `raised`, F^ij, which carries the real
+        metric sign METRIC5[i] * METRIC5[j]."""
+        out = {}
+        for (i, j), f in self.terms.items():
+            if raised and METRIC5[i] != METRIC5[j]:
+                f = -f
+            out[i, j], out[j, i] = f, -f
+        return out
+
     def _render_term(self, key, c):
         i, j = key
         return f"({c.render()}) * tau[{i}]^tau[{j}]"

@@ -2,25 +2,26 @@
 invariants, field equations and the classical limit.
 
 A configuration is five potentials A_0..A_4 in the coordinate algebra
-plus a charge g.  The field strength is implemented in two conventions:
+plus a charge g.  Its field strength carries the charge:
 
-    literal:  F_ij = del_i(A_j) - del_j(A_i) + i   A_k [f^k_i(A_j) - f^k_j(A_i)]
-    charged:  F_ij = del_i(A_j) - del_j(A_i) + i g A_k [f^k_i(A_j) - f^k_j(A_i)]
+    F_ij = del_i(A_j) - del_j(A_i) + i g A_k [f^k_i(A_j) - f^k_j(A_i)]
 
-The literal form is the published one; the charged form is what the
-curvature two-form Omega = d omega + g omega ^ omega extracts for any g
-(with the i<j normalization i F_ij tau^i ^ tau^j = Omega) and what makes
-the covariant-derivative commutator identity exact for any g.  The two
-coincide at g = 1, where the covariance suite runs with zero residuals.
+It is what the curvature two-form Omega = d omega + g omega ^ omega
+extracts for any g (with the i<j normalization i F_ij tau^i ^ tau^j =
+Omega), what makes the covariant-derivative commutator identity exact
+and what transforms covariantly under A_k -> U A_j f^j_k(U*) - (i/g)
+U del_k(U*).  The published form, with no charge in the quadratic term,
+is the strength of the same potentials at g = 1:
+`field_strength(GaugeConfig(cfg.A))`.
 
 Every index contraction of products -- the sum over k in F_ij, the
 divergence correction, the invariants C and C_pm, the covariance
 right-hand sides and the unitarity collapse -- is one `minkowski.dot`
 per output component, with factors shared by all terms (U F_kl, U
 nabla_m F^{mn}) multiplied once outside the index loops.  A strength is
-read through its stored i < j components: (j, i) is their negation and a
-raised component carries the real metric sign, so each is multiplied by
-U or starred once.  The nested f-actions f^i_k(f^j_l(X)) of one
+read through `TwoForm.entries`, both orders of its stored i < j
+components, lowered or raised, so each is multiplied by U or starred
+once.  The nested f-actions f^i_k(f^j_l(X)) of one
 construction share one table (`_actions`), so each action is computed
 once per construction; the table is keyed by the operand's value, and the
 unit f-entries hand back their operand (`action.act`), so f^i_k(f^m_m(X))
@@ -110,16 +111,14 @@ def render_strength(strength):
 
 
 @lru_cache(maxsize=64)
-def field_strength(cfg, charged=False):
-    """F_ij = del_i(A_j) - del_j(A_i) + i [g] A_k [f^k_i(A_j) - f^k_j(A_i)].
+def field_strength(cfg):
+    """F_ij = del_i(A_j) - del_j(A_i) + i g A_k [f^k_i(A_j) - f^k_j(A_i)].
 
-    `charged=False` is the published convention (no charge in the
-    quadratic term); `charged=True` inserts it.  Returns the TwoForm with
-    components F_ij, i < j.  Memoised per (cfg, charged): the covariance
-    checks ask for the same strength several times.
+    Returns the TwoForm with components F_ij, i < j.  Memoised per cfg: the
+    covariance checks ask for the same strength several times.
     """
     A = cfg.A
-    quad_factor = I * cfg.g if charged else I
+    quad_factor = I * cfg.g
     dA = [[act_derivative(i, A[j]) for j in range(5)] for i in range(5)]
     out = {}
     for i in range(5):
@@ -135,20 +134,15 @@ def curvature_form(cfg):
     return omega.exterior_d() + omega.wedge(omega).scale(cfg.g)
 
 
-def extract_strength(two_form):
-    """Components from i F_ij tau^i ^ tau^j = Omega with the i<j sum."""
-    return two_form.scale(-I)
-
-
 def curvature_cross_check(cfg):
-    """Compare the Omega route against both strength conventions.
+    """Compare the components read off i F_ij tau^i ^ tau^j = Omega (the
+    i<j sum) with the strength and with the published form.
 
-    Returns (residual vs charged, residual vs literal) as TwoForms; the
-    charged residual is identically zero for any g.
+    Returns (residual vs strength, residual vs published form) as TwoForms;
+    the first is identically zero for any g.
     """
-    omega_f = extract_strength(curvature_form(cfg))
-    return (omega_f - field_strength(cfg, charged=True),
-            omega_f - field_strength(cfg, charged=False))
+    omega_f = curvature_form(cfg).scale(-I)
+    return omega_f - field_strength(cfg), omega_f - field_strength(GaugeConfig(cfg.A))
 
 
 @lru_cache(maxsize=64)
@@ -187,16 +181,11 @@ def _actions(act):
     return acts
 
 
-def check_f_covariance(cfg, u, charged=False):
+def check_f_covariance(cfg, u):
     """Residual TwoForm of F~_ij = U F_kl f^k_i(f^l_j(U*))."""
-    _require_unitary(u)
+    f_new = field_strength(gauge_transform(cfg, u))
     ustar = u.star()
-    f_old = field_strength(cfg, charged=charged)
-    f_new = field_strength(gauge_transform(cfg, u), charged=charged)
-    u_f = {}
-    for (k, l), fkl in f_old.terms.items():
-        u_f[k, l] = ufkl = u * fkl
-        u_f[l, k] = -ufkl
+    u_f = field_strength(cfg).map_coeffs(lambda f: u * f).entries()
     acts = _actions(act_f)
     rhs = {}
     for i in range(5):
@@ -210,7 +199,7 @@ def check_f_covariance(cfg, u, charged=False):
 # -- covariant derivatives as mixed-word operators ------------------------------
 
 
-def covariant_derivative_op(cfg, k, charged=True):
+def covariant_derivative_op(cfg, k):
     """nabla_k = del_k + i g A_j f^j_k as a normal-ordered mixed word."""
     f, ig = f_matrix(), I * cfg.g
     quad = HeisenbergElement.dot(
@@ -226,7 +215,7 @@ def apply_covariant_derivative(cfg, k, a):
 
 
 def check_commutator_identity(cfg, i, j):
-    """[nabla_i, nabla_j] - i g F_mn f^m_i f^n_j with the charged strength.
+    """[nabla_i, nabla_j] - i g F_mn f^m_i f^n_j.
 
     Exact as an identity between normal-ordered mixed words for any g.
     """
@@ -234,12 +223,10 @@ def check_commutator_identity(cfg, i, j):
     nb_j = covariant_derivative_op(cfg, j)
     lhs = nb_i * nb_j - nb_j * nb_i
     f = f_matrix()
-    strength = field_strength(cfg, charged=True)
     rhs = HeisenbergElement.dot(
         (HeisenbergElement.from_position(fmn),
          HeisenbergElement.from_momentum(f[m][i] * f[n][j]))
-        for m in range(5) for n in range(5)
-        if not (fmn := strength.component(m, n)).is_zero())
+        for (m, n), fmn in field_strength(cfg).entries().items())
     return lhs - rhs.scale(I * cfg.g)
 
 
@@ -257,17 +244,11 @@ def check_bianchi(cfg, i, j, k):
 
 
 @lru_cache(maxsize=64)
-def divergence(cfg, charged=False):
+def divergence(cfg):
     """nabla_m F^{mk} = del_m F^{mk} + i g (A_j f^j_m(F^{mk})
     - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k.  Memoised
-    per (cfg, charged), like `field_strength`."""
-    strength = field_strength(cfg, charged=charged)
-    # F^{mn} for the nonzero components in both orders: raising carries the
-    # real metric sign, and F^{nm} = -F^{mn}.
-    raised = {}
-    for (m, n), f in strength.terms.items():
-        raised[m, n] = up = f if METRIC5[m] == METRIC5[n] else -f
-        raised[n, m] = -up
+    per cfg, like `field_strength`."""
+    raised = field_strength(cfg).entries(raised=True)
     acts = _actions(act_f_lowered)
     out = {}
     for k in range(5):
@@ -286,13 +267,11 @@ def divergence(cfg, charged=False):
     return IndexedMap(out)
 
 
-def check_divergence_covariance(cfg, u, charged=False):
+def check_divergence_covariance(cfg, u):
     """Residual, keyed by k, of nabla~_m F~^{mk} = U nabla_m F^{mn} f_n^k(U*)."""
-    _require_unitary(u)
+    div_new = divergence(gauge_transform(cfg, u))
     ustar = u.star()
-    div_old = divergence(cfg, charged=charged)
-    div_new = divergence(gauge_transform(cfg, u), charged=charged)
-    u_div = [(n, u * div_n) for n, div_n in div_old.terms.items()]
+    u_div = [(n, u * div_n) for n, div_n in divergence(cfg).terms.items()]
     rhs = IndexedMap.collect(
         (k, dot((udn, act_f_lowered(n, k, ustar)) for n, udn in u_div)) for k in range(5)
     )
@@ -300,38 +279,29 @@ def check_divergence_covariance(cfg, u, charged=False):
 
 
 @lru_cache(maxsize=64)
-def invariants(cfg, charged=False):
+def invariants(cfg):
     """C = F^{ij} F*_ij, C_+ = F_ij f^i_k(f^j_l(F^{kl})),
-    C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per (cfg, charged), like
+    C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per cfg, like
     `field_strength`."""
-    strength = field_strength(cfg, charged=charged)
-    # (F_ij, F^ij, F_ij*, F^ij*) for each nonzero component: each stored
-    # i < j component is starred once, (j, i) is its negation and the raised
-    # forms carry the real metric sign.
-    comps = {}
-    for (i, j), f_low in strength.terms.items():
-        f_star = f_low.star()
-        if METRIC5[i] == METRIC5[j]:
-            comps[i, j] = (f_low, f_low, f_star, f_star)
-        else:
-            comps[i, j] = (f_low, -f_low, f_star, -f_star)
-        comps[j, i] = tuple(-f for f in comps[i, j])
+    strength = field_strength(cfg)
+    starred = strength.map_coeffs(lambda f: f.star())  # each stored F_ij once
+    low, up = strength.entries(), strength.entries(raised=True)
+    low_star, up_star = starred.entries(), starred.entries(raised=True)
     acts = _actions(act_f)
     plus, minus = [], []
-    for (i, j), (f_low, _, f_low_star, _) in comps.items():
-        for (k, l), (_, fkl_up, _, fkl_up_star) in comps.items():
+    for (i, j), f_low in low.items():
+        for (k, l), fkl_up in up.items():
             plus.append((f_low, acts(i, k, acts(j, l, fkl_up))))
-            minus.append((acts(i, k, acts(j, l, f_low_star)), fkl_up_star))
-    c = dot((f_up, f_low_star) for f_low, f_up, f_low_star, _ in comps.values())
+            minus.append((acts(i, k, acts(j, l, low_star[i, j])), up_star[k, l]))
+    c = dot((up[ij], low_star[ij]) for ij in low)
     return c, dot(plus), dot(minus)
 
 
-def check_invariant_covariance(cfg, u, charged=False):
+def check_invariant_covariance(cfg, u):
     """Residuals of C~ = U C U* and C~_pm = U C_pm U*, plus C_- - C_+*,
     keyed by name."""
-    _require_unitary(u)
-    old = invariants(cfg, charged=charged)
-    new = invariants(gauge_transform(cfg, u), charged=charged)
+    new = invariants(gauge_transform(cfg, u))
+    old = invariants(cfg)
     ustar = u.star()
     items = [(name, n - (u * o * ustar))
              for name, o, n in zip(("C", "C_plus", "C_minus"), old, new)]
@@ -422,7 +392,7 @@ def classical_lagrangian(cfg):
     return lagrangian
 
 
-def classical_limit(cfg, charged=False):
+def classical_limit(cfg):
     """Order-0 kappa expansion of -C/4 minus the classical Lagrangian.
 
     The configuration must be polynomial (no plane waves).
@@ -432,7 +402,7 @@ def classical_limit(cfg, charged=False):
     for a in cfg.A:
         if a.has_waves():
             raise ValueError("the classical limit needs polynomial potentials")
-    c, _cp, _cm = invariants(cfg, charged=charged)
+    c, _cp, _cm = invariants(cfg)
     engine = c.scale(ScalarValue.number(Fraction(-1, 4))).map_coeffs(
         lambda s: s.kappa_expand(0)
     )

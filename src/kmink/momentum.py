@@ -284,58 +284,40 @@ def kronecker(i, j):
 # -- verification -------------------------------------------------------------
 
 
-def verify_f_identities():
-    """Exact checks of the orthogonality and coproduct systems.
-
-    Returns a list of (identity id, equation tag, residual), 50
-    orthogonality cases plus 30 coproducts.
-    """
-    f = f_matrix()
-    flow = f_lowered()
-    results = []
-    dot = MomentumElement.dot
+def f_orthogonality():
+    """The 50 orthogonality cases, eqs. 1.25 and 1.26, as (check id,
+    equation tag, residual)."""
+    f, flow, dot = f_matrix(), f_lowered(), MomentumElement.dot
     for j in range(5):
         for i in range(5):
             res = dot((flow[k][j], f[k][i]) for k in range(5)) - kronecker(i, j)
-            results.append((f"f_k^{j} f^k_{i} = delta", "1.25", res))
+            yield f"f_k^{j}f^k_{i}=delta", "1.25", res
     for j in range(5):
         for i in range(5):
             res = dot((f[j][k], flow[i][k]) for k in range(5)) - kronecker(i, j)
-            results.append((f"f^{j}_k f_{i}^k = delta", "1.26", res))
+            yield f"f^{j}_kf_{i}^k=delta", "1.26", res
+
+
+def f_coproducts():
+    """The 30 coproduct cases, eqs. 1.23 and 2.6, as (check id, equation
+    tag, residual)."""
+    f, d, outer = f_matrix(), derivatives(), MomentumTensor.outer
     for i in range(5):
         for k in range(5):
-            lhs = f[i][k].coproduct()
-            rhs = MomentumTensor()
-            for j in range(5):
-                rhs = rhs + MomentumTensor.outer(f[i][j], f[j][k])
-            res = lhs - rhs
-            results.append((f"coproduct(f^{i}_{k}) = f^{i}_j (x) f^j_{k}", "1.23", res))
-    d = derivatives()
+            rhs = sum((outer(f[i][j], f[j][k]) for j in range(5)), MomentumTensor())
+            yield f"coproduct(f^{i}_{k})=f^{i}_j(x)f^j_{k}", "1.23", f[i][k].coproduct() - rhs
     for i in range(5):
-        lhs = d[i].coproduct()
-        rhs = MomentumTensor.outer(MomentumElement.one(), d[i])
-        for j in range(5):
-            rhs = rhs + MomentumTensor.outer(d[j], f[j][i])
-        res = lhs - rhs
-        results.append((f"coproduct(del_{i}) = 1 (x) del_{i} + del_j (x) f^j_{i}",
-                        "2.6", res))
-    return results
+        rhs = sum((outer(d[j], f[j][i]) for j in range(5)),
+                  outer(MomentumElement.one(), d[i]))
+        yield (f"coproduct(del_{i})=1(x)del_{i}+del_j(x)f^j_{i}", "2.6",
+               d[i].coproduct() - rhs)
 
 
-def verify_box_identities():
-    """box = kappa^2 + (e^4)^2 and del_0^2 - sum del_m^2 = box, exactly,
-    as (identity id, equation tag, residual), plus the reported order-0
-    limit of box."""
-    e = vector_fields()
-    d = derivatives()
-    results = []
-    res1 = box() - MomentumElement.scalar(ScalarValue.kappa(2)) - e[4] * e[4]
-    results.append(("box = kappa^2 + (e^4)^2", "1.12", res1))
-    res2 = MomentumElement.dot((d[m].scale(METRIC5[m]), d[m]) for m in range(4)) - box()
-    results.append(("del_0^2 - sum del_m^2 = box", "2.9", res2))
-    limit = box().kappa_expand(0)
-    results.append(
-        ("box at kappa order 0 (sign convention: -(P_0^2 - P^2))", "derived-convention",
-         limit)
-    )
-    return results
+def box_identities():
+    """box = kappa^2 + (e^4)^2 (eq. 1.12) and del_0^2 - sum del_m^2 = box
+    (eq. 2.9), exactly, as (check id, equation tag, residual)."""
+    e, d = vector_fields(), derivatives()
+    yield ("box=kappa^2+(e^4)^2", "1.12",
+           box() - MomentumElement.scalar(ScalarValue.kappa(2)) - e[4] * e[4])
+    yield ("del_0^2-sumdel_m^2=box", "2.9",
+           MomentumElement.dot((d[m].scale(METRIC5[m]), d[m]) for m in range(4)) - box())

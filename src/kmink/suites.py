@@ -133,9 +133,8 @@ def suite_hopf(cfg):
         res = (a * b).star() - a.star() * b.star()
         out.append(_check("hopf", f"star-multiplicative-mom-{n:02d}", "1.5", res))
 
-    for name, eq, residual in mom.verify_f_identities():
-        if eq in ("1.23", "2.6"):
-            out.append(_check("hopf", name.replace(" ", ""), eq, residual))
+    for check_id, eq, residual in mom.f_coproducts():
+        out.append(_check("hopf", check_id, eq, residual))
     return out
 
 
@@ -293,14 +292,10 @@ def suite_action(cfg):
         rhs = HeisenbergElement.from_momentum(e[mu].scale(-IMK))
         out.append(_check("action", f"vector-field-relation-4{mu}", "1.11", lhs - rhs))
 
-    for name, eq, residual in mom.verify_f_identities():
-        if eq in ("1.25", "1.26"):
-            out.append(_check("action", name.replace(" ", ""), eq, residual))
-    for name, eq, residual in mom.verify_box_identities():
-        if eq == "derived-convention":
-            out.append(_reported("action", "box-kappa-order0", eq, residual.render()))
-        else:
-            out.append(_check("action", name.replace(" ", ""), eq, residual))
+    for check_id, eq, residual in (*mom.f_orthogonality(), *mom.box_identities()):
+        out.append(_check("action", check_id, eq, residual))
+    out.append(_reported("action", "box-kappa-order0", "derived-convention",
+                         mom.box().kappa_expand(0).render()))
 
     flow = mom.f_lowered()
     for n in range(8):

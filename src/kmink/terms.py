@@ -102,7 +102,14 @@ def _coproduct_image(cls, key):
 
 
 class TermMap:
-    """Finite linear combination of monomial keys; see the module docstring."""
+    """Finite linear combination of monomial keys; see the module docstring.
+
+    Equality compares maps of one class, plus one coercion: a ScalarValue
+    equals the element of an algebra with a unit that carries it.  So a
+    map whose only term is its unit hashes as that coefficient, and equal
+    values hash equal.  A plain number equals no term map: arithmetic
+    coerces it, comparison does not (`ScalarValue.number(2) != 2`).
+    """
 
     __slots__ = ("terms", "_hash")
 
@@ -268,14 +275,19 @@ class TermMap:
         return not self.terms
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not self.__class__:
+            if self.UNIT is None or other.__class__ is not scalars.ScalarValue:
+                return NotImplemented
+            other = self.scalar(other)
         return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            if len(terms) == 1 and self.UNIT in terms:  # hashes as its scalar
+                self._hash = hash(terms[self.UNIT])
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     # -- rendering -------------------------------------------------------------

@@ -48,6 +48,9 @@ def test_dirac_square_gamma5_choice_residual():
 def test_representation_memos_hit_by_value():
     unit = dirac.build_dirac(dirac.Gamma4("unit", 2))
     assert dirac.build_dirac(dirac.Gamma4("unit", 2)) is unit
+    # an int coefficient is coerced, so it is the scalar's memo key
+    assert isinstance(dirac.Gamma4("unit", 2).coeff, ScalarValue)
+    assert dirac.build_dirac(REP_UNIT) is unit
     assert dirac.clifford_image(1, dirac.Gamma4("gamma5")) is dirac.clifford_image(1, REP_G5)
     assert REP_UNIT.gammas[4] == dirac.ID4.scale(2) and REP_ZERO.gammas[4] == dirac.ZERO4
 

@@ -90,6 +90,20 @@ def test_wedge_and_two_forms():
     assert got.component(1, 0) == -X[0]
 
 
+def test_two_form_entries_read_both_orders_and_raise_with_the_metric():
+    # (0, 1) pairs a time index with a space index, so raising flips its
+    # sign; (1, 2) pairs two space indices, so raising keeps it.
+    f01, f12 = X[0] * X[1], X[2].scale(I)
+    strength = TwoForm({(0, 1): f01, (1, 2): f12})
+    low, up = strength.entries(), strength.entries(raised=True)
+    assert set(low) == set(up) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    for (i, j), f in low.items():
+        assert f == strength.component(i, j)
+        assert up[i, j] == f.scale(METRIC5[i] * METRIC5[j])
+    assert (up[0, 1], up[1, 0], up[1, 2]) == (-f01, f01, f12)
+    assert TwoForm().entries(raised=True) == {}
+
+
 def test_d_squared_zero():
     rng = random.Random(53)
     for _ in range(40):

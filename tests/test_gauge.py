@@ -56,19 +56,19 @@ def test_field_strength_examples():
 
 def test_curvature_two_routes():
     for cfg in ALL_CFGS:
-        res_charged, res_literal = gauge.curvature_cross_check(cfg)
-        assert res_charged.is_zero()
-        assert res_literal.is_zero()  # g = 1: conventions coincide
+        res_strength, res_published = gauge.curvature_cross_check(cfg)
+        assert res_strength.is_zero()
+        assert res_published.is_zero()  # g = 1: the published form is the strength
     live = gauge.GaugeConfig((Z, X[1], Z, Z, Z), ScalarValue.number(2))
-    res_charged, res_literal = gauge.curvature_cross_check(live)
-    assert res_charged.is_zero()  # Omega extraction matches the charged form always
-    assert not res_literal.is_zero()  # and differs from the literal form at g != 1
+    res_strength, res_published = gauge.curvature_cross_check(live)
+    assert res_strength.is_zero()  # Omega extraction matches the strength for any g
+    assert not res_published.is_zero()  # and differs from the published form at g != 1
 
 
 def test_curvature_zero_and_classical_components():
     assert gauge.curvature_form(gauge.GaugeConfig((Z,) * 5)).is_zero()
     omega = gauge.curvature_form(CFG_LINEAR)
-    extracted = gauge.extract_strength(omega)
+    extracted = omega.scale(-I)  # i F_ij tau^i ^ tau^j = Omega
     assert extracted.component(0, 1) == PositionElement.one()
 
 
@@ -266,9 +266,9 @@ def test_transform_at_g2_still_covariant_in_charged_convention(g):
     cfg = gauge.GaugeConfig(CFG_LINEAR.A, g)
     assert isinstance(cfg.g, ScalarValue)
     assert gauge.gauge_transform(cfg, U1).g == ScalarValue.number(2)
-    assert gauge.check_f_covariance(cfg, U1, charged=True).is_zero()
-    assert gauge.check_divergence_covariance(cfg, U1, charged=True).is_zero()
-    assert gauge.check_invariant_covariance(cfg, U1, charged=True).is_zero()
+    assert gauge.check_f_covariance(cfg, U1).is_zero()
+    assert gauge.check_divergence_covariance(cfg, U1).is_zero()
+    assert gauge.check_invariant_covariance(cfg, U1).is_zero()
 
 
 def test_equal_charges_are_one_memo_key():
@@ -297,19 +297,25 @@ def test_charge_must_be_a_scalar():
 
 def test_strength_memo_tells_charges_apart():
     """Configs with equal potentials and different g are different memo
-    keys: each charged strength, divergence and invariant triple equals a
-    fresh, unmemoised computation."""
+    keys: each strength, divergence and invariant triple equals a fresh,
+    unmemoised computation."""
     cfg_g1 = gauge.GaugeConfig((X[1], X[0], Z, Z, Z))
     cfg_g2 = gauge.GaugeConfig((X[1], X[0], Z, Z, Z), ScalarValue.number(2))
     for fn in (gauge.field_strength, gauge.divergence, gauge.invariants):
-        first = fn(cfg_g1, charged=True)
-        second = fn(cfg_g2, charged=True)
+        first = fn(cfg_g1)
+        second = fn(cfg_g2)
         assert first != second
-        assert first == fn.__wrapped__(cfg_g1, charged=True)
-        assert second == fn.__wrapped__(cfg_g2, charged=True)
+        assert first == fn.__wrapped__(cfg_g1)
+        assert second == fn.__wrapped__(cfg_g2)
 
 
 # -- reference: invariants and divergence with every component re-read --------
+
+def engine_config(cfg, charged):
+    """What the engine computes for a reference below.  The references
+    write the charge out; with `charged` False they are the published,
+    charge-free formulas, the engine's of the same potentials at g = 1."""
+    return cfg if charged else gauge.GaugeConfig(cfg.A)
 
 
 def _raised(strength, i, j):
@@ -320,7 +326,7 @@ def _raised(strength, i, j):
 def reference_invariants(cfg, charged):
     """C, C_+ and C_- with each component read, raised and starred inside
     the loops, as written in the definitions."""
-    strength = gauge.field_strength(cfg, charged=charged)
+    strength = reference_field_strength(cfg, charged)
     c = c_plus = c_minus = Z
     for i in range(5):
         for j in range(5):
@@ -344,7 +350,7 @@ def reference_invariants(cfg, charged):
 
 def reference_divergence(cfg, charged):
     """nabla_m F^{mk} with every raised component read inside the loops."""
-    strength = gauge.field_strength(cfg, charged=charged)
+    strength = reference_field_strength(cfg, charged)
     out = {}
     for k in range(5):
         acc = Z
@@ -358,7 +364,7 @@ def reference_divergence(cfg, charged):
                 for n in range(5):
                     acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
                     correction = correction - _raised(strength, m, n) * acted
-        value = acc + correction.scale(I * cfg.g)
+        value = acc + correction.scale(I * cfg.g if charged else I)
         if not value.is_zero():
             out[k] = value
     return IndexedMap(out)
@@ -368,8 +374,9 @@ def reference_divergence(cfg, charged):
 @pytest.mark.parametrize("charged", [False, True])
 def test_hoisted_invariants_and_divergence_match_reference(g, charged):
     cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
-    assert gauge.invariants.__wrapped__(cfg, charged) == reference_invariants(cfg, charged)
-    assert gauge.divergence.__wrapped__(cfg, charged) == reference_divergence(cfg, charged)
+    engine_cfg = engine_config(cfg, charged)
+    assert gauge.invariants.__wrapped__(engine_cfg) == reference_invariants(cfg, charged)
+    assert gauge.divergence.__wrapped__(engine_cfg) == reference_divergence(cfg, charged)
 
 
 def reference_field_strength(cfg, charged):
@@ -393,49 +400,48 @@ def reference_field_strength(cfg, charged):
 @pytest.mark.parametrize("charged", [False, True])
 def test_field_strength_matches_reference(g, charged):
     cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
-    got = gauge.field_strength.__wrapped__(cfg, charged)
+    got = gauge.field_strength.__wrapped__(engine_config(cfg, charged))
     assert got == reference_field_strength(cfg, charged)
     assert not got.is_zero()
 
 
 # -- reference: the covariance checks and the action table with plain nesting --
 
-# At g = 2 the literal convention is not covariant: the F and divergence
-# covariance residuals have 9 and 5 nonzero components, so a wrong action
-# cannot hide behind a zero residual.
+# At g = 2 the covariance residuals are zero by design, so the tests compare
+# the right-hand sides, U F_kl f^k_i(f^l_j(U*)) and U nabla_m F^{mn}
+# f_n^k(U*): they have 10 and 5 nonzero components, so a wrong action cannot
+# hide behind a zero residual.
 CFG_LIVE = gauge.GaugeConfig((X[1], X[0], Z, X[3], X[2]), ScalarValue.number(2))
 
 
-def reference_f_covariance(cfg, u, charged):
-    """F~_ij - U F_kl f^k_i(f^l_j(U*)), each action a plain nested `act_f`
-    call inside the loops."""
-    f_old = gauge.field_strength(cfg, charged=charged)
-    f_new = gauge.field_strength(gauge.gauge_transform(cfg, u), charged=charged)
+def reference_f_covariance_rhs(cfg, u):
+    """U F_kl f^k_i(f^l_j(U*)), each action a plain nested `act_f` call
+    inside the loops."""
+    f_old = gauge.field_strength(cfg)
     ustar = u.star()
     out = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            value = f_new.component(i, j)
+            value = Z
             for k in range(5):
                 for l in range(5):
                     acted = act_f(k, i, act_f(l, j, ustar))
-                    value = value - u * f_old.component(k, l) * acted
+                    value = value + u * f_old.component(k, l) * acted
             if not value.is_zero():
                 out[i, j] = value
     return TwoForm(out)
 
 
-def reference_divergence_covariance(cfg, u, charged):
-    """nabla~_m F~^{mk} - U nabla_m F^{mn} f_n^k(U*), each divergence the
-    loop reference above and each action a plain `act_f_lowered` call."""
-    div_old = reference_divergence(cfg, charged)
-    div_new = reference_divergence(gauge.gauge_transform(cfg, u), charged)
+def reference_divergence_covariance_rhs(cfg, u):
+    """U nabla_m F^{mn} f_n^k(U*), the divergence the loop reference above
+    and each action a plain `act_f_lowered` call."""
+    div_old = reference_divergence(cfg, True)
     ustar = u.star()
     out = {}
     for k in range(5):
-        value = div_new.terms.get(k, Z)
+        value = Z
         for n in range(5):
-            value = value - u * div_old.terms.get(n, Z) * act_f_lowered(n, k, ustar)
+            value = value + u * div_old.terms.get(n, Z) * act_f_lowered(n, k, ustar)
         if not value.is_zero():
             out[k] = value
     return IndexedMap(out)
@@ -443,11 +449,15 @@ def reference_divergence_covariance(cfg, u, charged):
 
 @pytest.mark.parametrize("u", [U1, U2], ids=["U1", "U2"])
 def test_covariance_checks_match_plain_nested_actions(u):
-    f_res = gauge.check_f_covariance(CFG_LIVE, u, charged=False)
-    div_res = gauge.check_divergence_covariance(CFG_LIVE, u, charged=False)
-    assert len(f_res.terms) == 9 and len(div_res.terms) == 5
-    assert f_res == reference_f_covariance(CFG_LIVE, u, False)
-    assert div_res == reference_divergence_covariance(CFG_LIVE, u, False)
+    moved = gauge.gauge_transform(CFG_LIVE, u)
+    f_res = gauge.check_f_covariance(CFG_LIVE, u)
+    div_res = gauge.check_divergence_covariance(CFG_LIVE, u)
+    assert f_res.is_zero() and div_res.is_zero()
+    f_rhs = gauge.field_strength(moved) - f_res
+    div_rhs = gauge.divergence(moved) - div_res
+    assert len(f_rhs.terms) == 10 and len(div_rhs.terms) == 5
+    assert f_rhs == reference_f_covariance_rhs(CFG_LIVE, u)
+    assert div_rhs == reference_divergence_covariance_rhs(CFG_LIVE, u)
 
 
 @pytest.mark.parametrize("a", [U1 * U2, X[0] * X[1] + X[2].scale(I) + ONE],

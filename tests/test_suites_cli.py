@@ -1,6 +1,8 @@
 """Suite orchestration, report determinism and the command-line driver."""
 
+import contextlib
 import gc
+import io
 import json
 import random
 import subprocess
@@ -21,11 +23,11 @@ from tests import child_env
 
 
 def run_cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "kmink.cli", *argv],
-        capture_output=True, text=True, env=child_env(),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """`kmink ARGV` run in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_suite_names_cover_spec():
@@ -293,6 +295,21 @@ def test_gauge_cli_round_trip(tmp_path):
     code, out, _ = run_cli("gauge", "verify", "--config", str(cfg),
                            "--unitary", "W[1]")
     assert code == 0 and "FAIL" not in out
+    # at g = 2 the strength carries the charge that the transform divides
+    # out, so every covariance line passes; the closing line still reports
+    # that the published form, printed by `fstrength` without --charged,
+    # differs from the strength
+    live = tmp_path / "live.kmg"
+    live.write_text("A1 = x0\nA4 = x1\ng = 2\n")
+    code, out, _ = run_cli("gauge", "verify", "--config", str(live))
+    lines = out.splitlines()
+    assert code == 0 and [line.split()[0] for line in lines] == ["[PASS]"] * 6 + ["[INFO]"]
+    assert "literal-form residual nonzero" in lines[-1]
+    published = "F[0,1] = 1 + kappa^-1 * x1; F[0,4] = -1 * kappa^-1 * x0; F[1,4] = 1"
+    charged = "F[0,1] = 1 + 2 * kappa^-1 * x1; F[0,4] = -2 * kappa^-1 * x0; F[1,4] = 1"
+    for flags, want in (([], published), (["--charged"], charged)):
+        code, out, _ = run_cli("gauge", "fstrength", "--config", str(live), *flags)
+        assert code == 0 and out == want + "\n"
     cfg2 = tmp_path / "poly.kmg"
     cfg2.write_text("A4 = x1\n")
     code, out, _ = run_cli("gauge", "limit", "--config", str(cfg2))

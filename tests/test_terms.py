@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmink import dirac
-from kmink.action import word
+from kmink.action import HeisenbergElement, word
 from kmink.fuzz import rand_coeff, rand_momentum, rand_oneform, rand_position, rand_spinor
 from kmink.minkowski import PositionElement, PositionTensor
-from kmink.momentum import MomentumTensor
+from kmink.momentum import MomentumElement, MomentumTensor
 from kmink.scalars import ONE, ScalarValue
 from kmink.terms import Record
 
@@ -98,6 +98,47 @@ def test_equal_values_hash_equal(pair):
     rebuilt = (b + a) - b  # equal to a, with its terms inserted in another order
     assert rebuilt == a
     assert hash(rebuilt) == hash(a)
+
+
+UNIT_CLASSES = (ScalarValue, PositionElement, MomentumElement, HeisenbergElement)
+
+
+@st.composite
+def values(draw):
+    """A fuzz value of a unital class, a unit-only value or zero of one, or
+    a plain int."""
+    n = draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(("fuzz", "unit", "int")))
+    if kind == "int":
+        return n
+    if kind == "unit":
+        return draw(st.sampled_from(UNIT_CLASSES)).scalar(n)
+    return draw(st.sampled_from(UNITAL))(random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values(), values())
+def test_equal_values_hash_equal_across_classes(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_a_scalar_equals_its_embeddings_and_no_int():
+    """A ScalarValue equals the unit-only element that carries it, in every
+    algebra with a unit; two algebras' elements never compare equal, and no
+    term map equals a plain number."""
+    for cls1 in UNIT_CLASSES:
+        for cls2 in UNIT_CLASSES:
+            for n1 in range(-1, 3):
+                for n2 in range(-1, 3):
+                    a, b = cls1.scalar(n1), cls2.scalar(n2)
+                    same = n1 == n2 and (cls1 is cls2 or ScalarValue in (cls1, cls2))
+                    assert (a == b) is same
+                    if same:
+                        assert hash(a) == hash(b)
+            assert cls1.scalar(2) != 2
+    assert len({PositionElement.scalar(2), ScalarValue.number(2)}) == 1
+    assert len({PositionElement.scalar(2), 2}) == 2
 
 
 @settings(max_examples=30, deadline=None)
