@@ -42,7 +42,7 @@ class ExprError(ValueError):
     """Positioned syntax or semantic error in an expression."""
 
     def __init__(self, message, pos=None, where=None):
-        self.pos = pos
+        self.message, self.pos = message, pos
         if where is not None:
             line, col = where
             super().__init__(f"{message} (line {line}, column {col})")
@@ -348,8 +348,7 @@ def parse(text):
     except ExprError as exc:
         if exc.pos is None:
             raise
-        raise ExprError(str(exc).rsplit(" (at offset", 1)[0],
-                        exc.pos, _line_col(text, exc.pos)) from None
+        raise ExprError(exc.message, exc.pos, _line_col(text, exc.pos)) from None
 
 
 # -- renderer ---------------------------------------------------------------------

@@ -63,21 +63,32 @@ def read_config_text(text):
     """Parse a plain-text fixture: lines `A0..A4 = <expr>` and `g = <expr>`.
 
     Missing potentials default to zero; the charge defaults to one.  A field
-    given twice is an error.
+    given twice is an error.  Every error names its line, and a syntax error
+    its column within that line.
     """
-    from .expr import evaluate_text
+    from .expr import ExprError, evaluate, parse
 
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        if not code.strip():
             continue
-        if "=" not in line:
+        if "=" not in code:
             raise ValueError(f"line {lineno}: expected `name = expression`")
-        name, rhs = (part.strip() for part in line.split("=", 1))
+        name, rhs = code.split("=", 1)
+        offset = len(code) - len(rhs.lstrip())  # of the expression in the line
+        name, rhs = name.strip(), rhs.strip()
         if name in fields:
             raise ValueError(f"line {lineno}: {name} is given twice")
-        value = evaluate_text(rhs)
+        try:
+            tree = parse(rhs)
+        except ExprError as exc:  # positioned within `rhs`
+            pos = offset + exc.pos
+            raise ExprError(exc.message, pos, (lineno, pos + 1)) from None
+        try:
+            value = evaluate(tree)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if name == "g":
             if not isinstance(value, ScalarValue):
                 raise ValueError(f"line {lineno}: the charge must be a scalar")

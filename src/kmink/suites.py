@@ -1,18 +1,21 @@
 """Verification suites: every published identity re-derived exactly.
 
-Each check produces one record with a stable id, the equation tag it
-certifies, a status (pass / fail / reported) and the rendered residual.
-An asserted check computes one residual value (a term map, or a scalar);
-it passes exactly when the residual is zero, and a failure shows it.
-`reported` marks computed-but-not-asserted results: documented discrepancies
-in the published formulas, convention reconciliations and limit expansions.
-A suite that raises yields one `fail` record, `<suite>-raised`, whose
-residual is the exception's type and message.
+A suite `suite_<name>(cfg, check)` states each check as `check(check_id,
+equation, value)`: a stable id, the equation tag it certifies, and a value.
+A residual value (a term map, or a scalar) is asserted: it passes exactly
+when zero, and a failure shows it rendered.  A `str` is `reported`: a
+computed-but-not-asserted result, such as a documented discrepancy in the
+published formulas, a convention reconciliation or a limit expansion.
+
+`run_checks` alone turns those calls into records.  Each record's `wall_ms`
+is the time since the previous record of its run, so a suite's first record
+also pays for its set-up and for the caches it fills.  A suite that raises
+keeps the records made before the raise, followed by one `fail` record,
+`<suite>-raised`, whose residual is the exception's type and message.
 
 Suites are deterministic in (seed, max_degree, gamma4); records are
 order-normalized so the machine-readable output is byte-identical across
-runs.  Wall times in the human table are amortized per suite; the JSON ledger
-carries no timings at all.
+runs.  Wall times are in the human table only; the JSON ledger has none.
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ from .minkowski import IMK, PlaneWave, PositionElement, PositionTensor, dot
 from .scalars import I, ONE, ScalarValue
 from .terms import IndexedMap, Record
 
-SUITE_NAMES = ("hopf", "action", "calculus", "dirac", "gauge", "limit")
-
 
 class CheckRecord(Record):
-    # status: "pass" | "fail" | "reported"; `_run_one` adds wall_ms to a suite's records
+    # status: "pass" | "fail" | "reported"
     __slots__ = ("suite", "check_id", "equation", "status", "residual", "wall_ms")
     DEFAULTS = {"residual": "0", "wall_ms": 0.0}
 
@@ -48,24 +49,11 @@ class RunConfig(Record):
     DEFAULTS = {"seed": 42, "max_degree": 2, "gamma4": dirac.GAMMA4_ZERO}
 
 
-def _check(suite, check_id, equation, residual):
-    """The record of an asserted identity: pass when `residual` is zero,
-    else fail with the rendered residual."""
-    if residual.is_zero():
-        return CheckRecord(suite, check_id, equation, "pass")
-    return CheckRecord(suite, check_id, equation, "fail", residual.render())
-
-
-def _reported(suite, check_id, equation, text):
-    return CheckRecord(suite, check_id, equation, "reported", text)
-
-
 # -- hopf ---------------------------------------------------------------------
 
 
-def suite_hopf(cfg):
+def suite_hopf(cfg, check):
     rng = random.Random(cfg.seed)
-    out = []
 
     x = [PositionElement.x(mu) for mu in range(4)]
     one = PositionElement.one()
@@ -73,28 +61,27 @@ def suite_hopf(cfg):
     for mu in range(4):
         delta = x[mu].coproduct()
         want = PositionTensor.outer(one, x[mu]) + PositionTensor.outer(x[mu], one)
-        out.append(_check("hopf", f"coproduct-x{mu}-primitive", "1.4", delta - want))
-        out.append(_check("hopf", f"counit-x{mu}", "1.4", x[mu].counit()))
-        out.append(_check("hopf", f"antipode-x{mu}", "1.4", x[mu].antipode() + x[mu]))
+        check(f"coproduct-x{mu}-primitive", "1.4", delta - want)
+        check(f"counit-x{mu}", "1.4", x[mu].counit())
+        check(f"antipode-x{mu}", "1.4", x[mu].antipode() + x[mu])
 
     res = (x[0] * x[1]).antipode() - x[1] * x[0]
-    out.append(_check("hopf", "antipode-antihom-x0x1", "1.4", res))
+    check("antipode-antihom-x0x1", "1.4", res)
 
     for n in range(6):
         a = fuzz.rand_position(rng, cfg.max_degree)
         back = a.coproduct().left_counit()
-        out.append(_check("hopf", f"counit-axiom-{n:02d}", "1.4", back - a))
+        check(f"counit-axiom-{n:02d}", "1.4", back - a)
         folded = a.coproduct().multiply_legs(lambda e: e.antipode())
         want = PositionElement.scalar(a.counit())
-        out.append(_check("hopf", f"antipode-axiom-{n:02d}", "1.4", folded - want))
+        check(f"antipode-axiom-{n:02d}", "1.4", folded - want)
 
     w1 = PositionElement.wave(PlaneWave.label(1))
     key = next(iter(w1.terms))
     delta = w1.coproduct()
     want = PositionTensor({(key, key): ONE})
-    out.append(_check("hopf", "coproduct-wave-grouplike", "1.4", delta - want))
-    out.append(_check("hopf", "coproduct-wave-series-oracle", "derived-convention",
-                      _grouplike_series_residual(3)))
+    check("coproduct-wave-grouplike", "1.4", delta - want)
+    check("coproduct-wave-series-oracle", "derived-convention", _grouplike_series_residual(3))
 
     p = [mom.MomentumElement.P(mu) for mu in range(4)]
     e_minus = mom.MomentumElement.exp_weight(-1)
@@ -102,40 +89,38 @@ def suite_hopf(cfg):
 
     delta = p[0].coproduct()
     want = mom.MomentumTensor.outer(p[0], mone) + mom.MomentumTensor.outer(mone, p[0])
-    out.append(_check("hopf", "coproduct-P0-primitive", "1.5", delta - want))
+    check("coproduct-P0-primitive", "1.5", delta - want)
     for m in (1, 2, 3):
         delta = p[m].coproduct()
         want = (mom.MomentumTensor.outer(p[m], mone)
                 + mom.MomentumTensor.outer(e_minus, p[m]))
-        out.append(_check("hopf", f"coproduct-P{m}", "1.5", delta - want))
+        check(f"coproduct-P{m}", "1.5", delta - want)
         res = p[m].antipode() + mom.MomentumElement.exp_weight(1) * p[m]
-        out.append(_check("hopf", f"antipode-P{m}", "1.5", res))
+        check(f"antipode-P{m}", "1.5", res)
         res = p[m].antipode().antipode() - p[m]
-        out.append(_check("hopf", f"antipode-squared-P{m}", "1.5", res))
-    out.append(_check("hopf", "antipode-P0", "1.5", p[0].antipode() + p[0]))
-    out.append(_check("hopf", "counit-P0sq-plus-3", "1.5",
-                      (p[0] * p[0] + mom.MomentumElement.scalar(3)).counit() - 3))
+        check(f"antipode-squared-P{m}", "1.5", res)
+    check("antipode-P0", "1.5", p[0].antipode() + p[0])
+    check("counit-P0sq-plus-3", "1.5", (p[0] * p[0] + mom.MomentumElement.scalar(3)).counit() - 3)
 
     f = mom.f_matrix()
     gens = [p[0], p[1], mom.MomentumElement.exp_weight(1)] + [f[i][j] for i in range(5) for j in range(5)]
     for idx, q in enumerate(gens):
         delta = q.coproduct()
-        out.append(_check("hopf", f"coassociativity-{idx:02d}", "1.5",
-                          delta.coproduct_left() - delta.coproduct_right()))
+        check(f"coassociativity-{idx:02d}", "1.5",
+              delta.coproduct_left() - delta.coproduct_right())
     for idx, q in enumerate([p[0], p[1], p[2], p[3]] + [f[i][j] for i in range(5) for j in range(5)]):
         folded = q.coproduct().multiply_legs(lambda e: e.antipode())
         want = mom.MomentumElement.scalar(q.counit())
-        out.append(_check("hopf", f"antipode-axiom-mom-{idx:02d}", "1.5", folded - want))
+        check(f"antipode-axiom-mom-{idx:02d}", "1.5", folded - want)
 
     for n in range(6):
         a = fuzz.rand_momentum(rng, cfg.max_degree)
         b = fuzz.rand_momentum(rng, cfg.max_degree)
         res = (a * b).star() - a.star() * b.star()
-        out.append(_check("hopf", f"star-multiplicative-mom-{n:02d}", "1.5", res))
+        check(f"star-multiplicative-mom-{n:02d}", "1.5", res)
 
     for check_id, eq, residual in mom.f_coproducts():
-        out.append(_check("hopf", check_id, eq, residual))
-    return out
+        check(check_id, eq, residual)
 
 
 def _grouplike_series_residual(order):
@@ -199,9 +184,8 @@ def wave_product_series_residual(order=4):
 # -- action ---------------------------------------------------------------------
 
 
-def suite_action(cfg):
+def suite_action(cfg, check):
     rng = random.Random(cfg.seed + 1)
-    out = []
 
     x = [PositionElement.x(mu) for mu in range(4)]
     p = [mom.MomentumElement.P(mu) for mu in range(4)]
@@ -213,7 +197,7 @@ def suite_action(cfg):
                 (x[nu].scale(IMK) if mu == 0 else PositionElement.zero())
                 - (x[mu].scale(IMK) if nu == 0 else PositionElement.zero())
             )
-            out.append(_check("action", f"xx-commutator-{mu}{nu}", "1.2", lhs - rhs))
+            check(f"xx-commutator-{mu}{nu}", "1.2", lhs - rhs)
 
     for mu in range(4):
         for nu in range(4):
@@ -228,30 +212,28 @@ def suite_action(cfg):
                 want = HeisenbergElement.coerce(
                     PositionElement.scalar(-I) if mu == nu else PositionElement.zero()
                 )
-            out.append(_check("action", f"cross-relation-P{mu}-x{nu}", "1.9", lhs - want))
+            check(f"cross-relation-P{mu}-x{nu}", "1.9", lhs - want)
 
     e_lam = mom.MomentumElement.exp_weight(1)
     lhs = word(e_lam, x[0]) - word(x[0], e_lam)
     want = HeisenbergElement.from_momentum(e_lam).scale(-IMK)
-    out.append(_check("action", "cross-relation-Exp-x0", "1.9", lhs - want))
+    check("cross-relation-Exp-x0", "1.9", lhs - want)
     lhs = word(e_lam, x[1]) - word(x[1], e_lam)
-    out.append(_check("action", "cross-relation-Exp-x1", "1.9", lhs))
+    check("cross-relation-Exp-x1", "1.9", lhs)
 
     for mu in range(4):
         for nu in range(4):
             got = act(p[mu], x[nu])
             want = PositionElement.scalar(-I) if mu == nu else PositionElement.zero()
-            out.append(_check("action", f"pairing-P{mu}-x{nu}", "1.6", got - want))
+            check(f"pairing-P{mu}-x{nu}", "1.6", got - want)
 
     w1 = PositionElement.wave(PlaneWave.label(1))
     for mu in range(4):
         got = act(p[mu], w1)
         want = w1.scale(ScalarValue.k(1, mu))
-        out.append(_check("action", f"wave-eigenvalue-P{mu}", "1.5", got - want))
-    out.append(_check("action", "wave-unitarity", "0.11",
-                      w1 * w1.star() - PositionElement.one()))
-    out.append(_check("action", "wave-product-series-oracle", "1.5",
-                      wave_product_series_residual(4)))
+        check(f"wave-eigenvalue-P{mu}", "1.5", got - want)
+    check("wave-unitarity", "0.11", w1 * w1.star() - PositionElement.one())
+    check("wave-product-series-oracle", "1.5", wave_product_series_residual(4))
 
     f = mom.f_matrix()
     probes = [p[0], p[1], p[2], mom.derivatives()[0], mom.derivatives()[4],
@@ -264,7 +246,7 @@ def suite_action(cfg):
         rhs = dot((act(mom.MomentumElement({kl: ONE}), a).scale(c),
                    act(mom.MomentumElement({kr: ONE}), b))
                   for (kl, kr), c in q.coproduct().terms.items())
-        out.append(_check("action", f"module-algebra-law-{n:02d}", "1.22", lhs - rhs))
+        check(f"module-algebra-law-{n:02d}", "1.22", lhs - rhs)
 
     d = mom.derivatives()
     for i in range(5):
@@ -273,7 +255,7 @@ def suite_action(cfg):
         rhs = HeisenbergElement.dot(
             (HeisenbergElement.from_position(act_derivative(j, a)),
              HeisenbergElement.from_momentum(f[j][i])) for j in range(5))
-        out.append(_check("action", f"operator-identity-del{i}", "2.5", lhs - rhs))
+        check(f"operator-identity-del{i}", "2.5", lhs - rhs)
 
     e = mom.vector_fields()
     for mu in range(4):
@@ -285,17 +267,15 @@ def suite_action(cfg):
             if mu == nu:
                 term = term - (e[0] + e[4]).scale(mom.METRIC5[mu])
             rhs = HeisenbergElement.from_momentum(term.scale(IMK))
-            out.append(_check("action", f"vector-field-relation-{mu}{nu}", "1.11",
-                              lhs - rhs))
+            check(f"vector-field-relation-{mu}{nu}", "1.11", lhs - rhs)
     for mu in range(4):
         lhs = word(e[4], x[mu]) - word(x[mu], e[4])
         rhs = HeisenbergElement.from_momentum(e[mu].scale(-IMK))
-        out.append(_check("action", f"vector-field-relation-4{mu}", "1.11", lhs - rhs))
+        check(f"vector-field-relation-4{mu}", "1.11", lhs - rhs)
 
     for check_id, eq, residual in (*mom.f_orthogonality(), *mom.box_identities()):
-        out.append(_check("action", check_id, eq, residual))
-    out.append(_reported("action", "box-kappa-order0", "derived-convention",
-                         mom.box().kappa_expand(0).render()))
+        check(check_id, eq, residual)
+    check("box-kappa-order0", "derived-convention", mom.box().kappa_expand(0).render())
 
     flow = mom.f_lowered()
     for n in range(8):
@@ -303,42 +283,40 @@ def suite_action(cfg):
         i, j = rng.randrange(5), rng.randrange(5)
         lhs = act_f(i, j, a.star()).star()
         rhs = act(flow[j][i], a)
-        out.append(_check("action", f"hermiticity-relation-{n:02d}", "1.28", lhs - rhs))
+        check(f"hermiticity-relation-{n:02d}", "1.28", lhs - rhs)
 
     for n in range(4):
         q = fuzz.rand_momentum(rng, cfg.max_degree)
         got = act(q, PositionElement.one())
         want = PositionElement.scalar(q.counit())
-        out.append(_check("action", f"vacuum-normalization-{n:02d}", "1.5", got - want))
+        check(f"vacuum-normalization-{n:02d}", "1.5", got - want)
 
     for n in range(5):
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), waves=True, n_terms=2)
         b = fuzz.rand_position(rng, min(cfg.max_degree, 2), waves=True, n_terms=2)
         c = fuzz.rand_position(rng, min(cfg.max_degree, 2), waves=True, n_terms=2)
         res = (a * b) * c - a * (b * c)
-        out.append(_check("action", f"associativity-{n:02d}", "1.2", res))
+        check(f"associativity-{n:02d}", "1.2", res)
         res = (a * b).star() - b.star() * a.star()
-        out.append(_check("action", f"star-antihom-{n:02d}", "1.2", res))
+        check(f"star-antihom-{n:02d}", "1.2", res)
         res = a.star().star() - a
-        out.append(_check("action", f"star-involution-{n:02d}", "1.2", res))
-    return out
+        check(f"star-involution-{n:02d}", "1.2", res)
 
 
 # -- calculus ---------------------------------------------------------------------
 
 
-def suite_calculus(cfg):
+def suite_calculus(cfg, check):
     rng = random.Random(cfg.seed + 2)
-    out = []
 
     x = [PositionElement.x(mu) for mu in range(4)]
 
     for mu in range(4):
         res = exterior_d(x[mu]) - OneForm.basis(mu)
-        out.append(_check("calculus", f"d-x{mu}-is-tau{mu}", "1.14", res))
-    out.append(_check("calculus", "d-constant", "2.2", exterior_d(PositionElement.one())))
+        check(f"d-x{mu}-is-tau{mu}", "1.14", res)
+    check("d-constant", "2.2", exterior_d(PositionElement.one()))
     want = OneForm.basis(0).left_mul(x[0].scale(2)) + OneForm.basis(4).scale(-IMK)
-    out.append(_check("calculus", "d-x0-squared", "2.2", exterior_d(x[0] * x[0]) - want))
+    check("d-x0-squared", "2.2", exterior_d(x[0] * x[0]) - want)
 
     for i in range(5):
         tau_i = OneForm.basis(i)
@@ -354,7 +332,7 @@ def suite_calculus(cfg):
                     )
             else:
                 rhs = OneForm.basis(nu).scale(-IMK)
-            out.append(_check("calculus", f"bimodule-tau{i}-x{nu}", "1.15", lhs - rhs))
+            check(f"bimodule-tau{i}-x{nu}", "1.15", lhs - rhs)
 
     n_pairs = max(12, 100 if cfg.max_degree >= 3 else 20)
     for n in range(n_pairs):
@@ -362,76 +340,66 @@ def suite_calculus(cfg):
         b = fuzz.rand_position(rng, cfg.max_degree, waves=True, n_terms=2)
         lhs = exterior_d(a * b)
         rhs = exterior_d(b).left_mul(a) + exterior_d(a).right_mul(b)
-        out.append(_check("calculus", f"leibniz-{n:03d}", "2.3", lhs - rhs))
+        check(f"leibniz-{n:03d}", "2.3", lhs - rhs)
 
     for n in range(10):
         w = fuzz.rand_oneform(rng, cfg.max_degree)
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
         b = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
         res = w.right_mul(a).right_mul(b) - w.right_mul(a * b)
-        out.append(_check("calculus", f"bimodule-assoc-{n:02d}", "1.22", res))
+        check(f"bimodule-assoc-{n:02d}", "1.22", res)
 
     for n in range(10):
         a = fuzz.rand_position(rng, cfg.max_degree, waves=True, n_terms=2)
-        out.append(_check("calculus", f"d-squared-{n:02d}", "1.16",
-                          exterior_d(a).exterior_d()))
+        check(f"d-squared-{n:02d}", "1.16", exterior_d(a).exterior_d())
 
-    out.append(_check("calculus", "wedge-antisymmetry-diagonal", "1.16",
-                      OneForm.basis(0).wedge(OneForm.basis(0))))
+    check("wedge-antisymmetry-diagonal", "1.16", OneForm.basis(0).wedge(OneForm.basis(0)))
     w12 = OneForm.basis(2).left_mul(x[1]).exterior_d()
     want = OneForm.basis(1).wedge(OneForm.basis(2))
-    out.append(_check("calculus", "d-of-x1-tau2", "1.16", w12 - want))
+    check("d-of-x1-tau2", "1.16", w12 - want)
 
     lit, corr = check_tau4_definition()
-    out.append(_check("calculus", "tau4-corrected-coefficient", "1.14", corr))
-    out.append(_reported("calculus", "tau4-published-coefficient-residual", "1.14",
-                         lit.render()))
+    check("tau4-corrected-coefficient", "1.14", corr)
+    check("tau4-published-coefficient-residual", "1.14", lit.render())
 
     for n in range(8):
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), waves=False, n_terms=2)
-        out.append(_check("calculus", f"metric-centrality-{n:02d}", "1.18",
-                          check_metric_centrality(a)))
+        check(f"metric-centrality-{n:02d}", "1.18", check_metric_centrality(a))
 
     for i in range(5):
         res = OneForm.basis(i).star() - OneForm.basis(i)
-        out.append(_check("calculus", f"star-tau{i}-hermitian", "1.27", res))
+        check(f"star-tau{i}-hermitian", "1.27", res)
     for n in range(6):
         w = fuzz.rand_oneform(rng, min(cfg.max_degree, 2))
-        out.append(_check("calculus", f"star-form-involution-{n:02d}", "1.27",
-                          w.star().star() - w))
+        check(f"star-form-involution-{n:02d}", "1.27", w.star().star() - w)
     res = OneForm.basis(0).left_mul(x[0]).star() - (
         OneForm.basis(0).left_mul(x[0]) + OneForm.basis(4).scale(-IMK)
     )
-    out.append(_check("calculus", "star-form-x0tau0", "1.27", res))
-    return out
+    check("star-form-x0tau0", "1.27", res)
 
 
 # -- dirac ---------------------------------------------------------------------
 
 
-def suite_dirac(cfg):
+def suite_dirac(cfg, check):
     rng = random.Random(cfg.seed + 3)
-    out = []
 
-    out.append(_check("dirac", "clifford-relations", "2.8",
-                      dirac.check_clifford_relations()))
+    check("clifford-relations", "2.8", dirac.check_clifford_relations())
 
     rep_zero = dirac.GAMMA4_ZERO
     reps = (rep_zero, dirac.Gamma4("unit"), dirac.Gamma4("gamma5"))  # lambda = 1
 
-    out.append(_check("dirac", "dirac-square-gamma4-zero", "2.9",
-                      dirac.check_dirac_square(rep_zero)))
+    check("dirac-square-gamma4-zero", "2.9", dirac.check_dirac_square(rep_zero))
     for rep_k in reps[1:]:
-        out.append(_reported("dirac", f"dirac-square-residual-{rep_k.kind}", "2.9",
-                             dirac.check_dirac_square(rep_k).render()))
+        check(f"dirac-square-residual-{rep_k.kind}", "2.9",
+              dirac.check_dirac_square(rep_k).render())
 
     n_pairs = 50 if cfg.max_degree >= 2 else 12
     for rep_k in reps:
         for n in range(n_pairs):
             a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
             psi = fuzz.rand_spinor(rng, min(cfg.max_degree, 2))
-            out.append(_check("dirac", f"diagram-{rep_k.kind}-{n:02d}", "0.8",
-                              dirac.check_diagram(a, psi, rep_k)))
+            check(f"diagram-{rep_k.kind}-{n:02d}", "0.8", dirac.check_diagram(a, psi, rep_k))
 
     for n in range(6):
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
@@ -444,20 +412,17 @@ def suite_dirac(cfg):
             if fa.is_zero():
                 continue
             rhs = rhs + dirac.op_apply(dirac.clifford_image(j, cfg.gamma4), psi).left_mul(fa)
-        out.append(_check("dirac", f"clifford-bimodule-{n:02d}", "1.21", lhs - rhs))
+        check(f"clifford-bimodule-{n:02d}", "1.21", lhs - rhs)
 
     for i, text in dirac.check_antihermiticity():
-        out.append(_reported("dirac", f"antihermiticity-del{i}", "derived-convention",
-                             f"star(del_{i}) + del_{i} = {text}"))
+        check(f"antihermiticity-del{i}", "derived-convention", f"star(del_{i}) + del_{i} = {text}")
 
     for mu in range(4):
-        out.append(_check("dirac", f"clifford-image-limit-{mu}", "derived-convention",
-                          _clifford_image_limit_residual(rep_zero, mu)))
+        check(f"clifford-image-limit-{mu}", "derived-convention",
+              _clifford_image_limit_residual(rep_zero, mu))
 
     diff = dirac.clifford_image(1, rep_zero) - dirac.clifford_image_published(1, rep_zero)
-    out.append(_reported("dirac", "clifford-image-published-variant-difference", "2.10",
-                         diff.render()))
-    return out
+    check("clifford-image-published-variant-difference", "2.10", diff.render())
 
 
 def _clifford_image_limit_residual(rep, mu):
@@ -482,81 +447,82 @@ def gauge_fixtures():
     return (cfg1, cfg2, cfg3), (u1, u2)
 
 
-def suite_gauge(cfg):
-    out = []
+def suite_gauge(cfg, check):
     x = [PositionElement.x(mu) for mu in range(4)]
     z = PositionElement.zero()
     configs, unitaries = gauge_fixtures()
 
     want = TwoForm({(0, 1): PositionElement.one()})
-    out.append(_check("gauge", "strength-linear-example", "3.8",
-                      gauge.field_strength(configs[0]) - want))
-    out.append(_check("gauge", "strength-zero-config", "3.8",
-                      gauge.field_strength(gauge.GaugeConfig((z,) * 5))))
+    check("strength-linear-example", "3.8", gauge.field_strength(configs[0]) - want)
+    check("strength-zero-config", "3.8", gauge.field_strength(gauge.GaugeConfig((z,) * 5)))
     const_cfg = gauge.GaugeConfig(tuple(
         PositionElement.scalar(ScalarValue.number(n - 2)) for n in range(5)
     ))
-    out.append(_check("gauge", "strength-constant-config", "3.8",
-                      gauge.field_strength(const_cfg)))
+    check("strength-constant-config", "3.8", gauge.field_strength(const_cfg))
 
     for idx, c in enumerate(configs):
         res_charged, res_literal = gauge.curvature_cross_check(c)
-        out.append(_check("gauge", f"curvature-two-route-g1-{idx}", "3.5/3.7",
-                          IndexedMap.collect([("charged", res_charged),
-                                              ("literal", res_literal)])))
+        check(f"curvature-two-route-g1-{idx}", "3.5/3.7",
+              IndexedMap.collect([("charged", res_charged),
+                                  ("literal", res_literal)]))
     live = gauge.GaugeConfig((z, x[1], z, z, z), ScalarValue.number(2))
     res_charged, res_literal = gauge.curvature_cross_check(live)
-    out.append(_check("gauge", "curvature-two-route-g2-charged", "3.5/3.7", res_charged))
+    check("curvature-two-route-g2-charged", "3.5/3.7", res_charged)
     literal_text = str({k: v.render() for k, v in sorted(res_literal.terms.items())})
-    out.append(_reported(
-        "gauge", "curvature-two-route-g2-literal", "3.5/3.7",
-        "Omega extraction equals the charged convention for any g; literal-form "
-        "residual at g=2: " + literal_text))
+    check("curvature-two-route-g2-literal", "3.5/3.7",
+          "Omega extraction equals the charged convention for any g; literal-form "
+          "residual at g=2: " + literal_text)
 
     moved = gauge.gauge_transform(configs[0], PositionElement.one())
-    out.append(_check("gauge", "transform-identity-unitary", "3.4",
-                      moved.connection_form() - configs[0].connection_form()))
+    check("transform-identity-unitary", "3.4",
+          moved.connection_form() - configs[0].connection_form())
     for uidx, u in enumerate(unitaries):
         pure = gauge.gauge_transform(gauge.GaugeConfig((z,) * 5), u)
-        out.append(_check("gauge", f"pure-gauge-flatness-{uidx}", "3.4",
-                          gauge.field_strength(pure)))
+        check(f"pure-gauge-flatness-{uidx}", "3.4", gauge.field_strength(pure))
 
     for cidx, c in enumerate(configs):
-        for uidx, u in enumerate(unitaries):
-            out.append(_check("gauge", f"F-covariance-cfg{cidx}-U{uidx}", "3.9",
-                              gauge.check_f_covariance(c, u)))
-            out.append(_check("gauge", f"divergence-covariance-cfg{cidx}-U{uidx}", "3.13",
-                              gauge.check_divergence_covariance(c, u)))
-            out.append(_check("gauge", f"invariant-covariance-cfg{cidx}-U{uidx}", "3.16",
-                              gauge.check_invariant_covariance(c, u)))
+        _covariance_checks(c, unitaries, check, f"cfg{cidx}-")
 
     live2 = gauge.GaugeConfig((x[1], x[0], z, x[3], x[2]), ScalarValue.number(2))
     for i in range(5):
         for j in range(i + 1, 5):
-            out.append(_check("gauge", f"commutator-identity-{i}{j}", "3.10",
-                              gauge.check_commutator_identity(live2, i, j)))
+            check(f"commutator-identity-{i}{j}", "3.10",
+                  gauge.check_commutator_identity(live2, i, j))
     for (i, j, k) in ((0, 1, 2), (0, 1, 4), (1, 2, 3), (2, 3, 4)):
-        out.append(_check("gauge", f"bianchi-{i}{j}{k}", "3.11",
-                          gauge.check_bianchi(live2, i, j, k)))
+        check(f"bianchi-{i}{j}{k}", "3.11", gauge.check_bianchi(live2, i, j, k))
 
     for uidx, u in enumerate(unitaries[:1]):
-        out.append(_check("gauge", f"star-collapse-{uidx}", "3.18",
-                          gauge.check_star_collapse(u)))
+        check(f"star-collapse-{uidx}", "3.18", gauge.check_star_collapse(u))
 
     c_val, cp, cm = gauge.invariants(configs[0])
-    out.append(_check("gauge", "invariant-C-golden", "3.15",
-                      c_val - PositionElement.scalar(-2)))
+    check("invariant-C-golden", "3.15", c_val - PositionElement.scalar(-2))
     want = IndexedMap({4: PositionElement.scalar(ScalarValue.kappa(-1))})
-    out.append(_check("gauge", "divergence-golden", "3.12",
-                      gauge.divergence(configs[0]) - want))
-    return out
+    check("divergence-golden", "3.12", gauge.divergence(configs[0]) - want)
+
+
+def _covariance_checks(cfg, unitaries, check, tag=""):
+    """Eqs. 3.9, 3.13 and 3.16 for `cfg` under each unitary."""
+    for n, u in enumerate(unitaries):
+        check(f"F-covariance-{tag}U{n}", "3.9", gauge.check_f_covariance(cfg, u))
+        check(f"divergence-covariance-{tag}U{n}", "3.13",
+              gauge.check_divergence_covariance(cfg, u))
+        check(f"invariant-covariance-{tag}U{n}", "3.16", gauge.check_invariant_covariance(cfg, u))
+
+
+def gauge_config_checks(cfg, unitaries, check):
+    """The checks of `kmink gauge verify`: covariance of one configuration
+    under each unitary, and its curvature read two ways (eqs. 3.5/3.7), the
+    strength asserted and the published form reported."""
+    _covariance_checks(cfg, unitaries, check)
+    res_strength, res_published = gauge.curvature_cross_check(cfg)
+    check("curvature-two-route-strength", "3.5/3.7", res_strength)
+    check("curvature-two-route-published", "3.5/3.7", res_published.render())
 
 
 # -- limit ---------------------------------------------------------------------
 
 
-def suite_limit(cfg):
-    out = []
+def suite_limit(cfg, check):
     x = [PositionElement.x(mu) for mu in range(4)]
     z = PositionElement.zero()
     fixtures = [
@@ -565,23 +531,20 @@ def suite_limit(cfg):
         ("mixed-deg2", gauge.GaugeConfig((x[1], x[0] * x[0], z, z, x[1] * x[2]))),
     ]
     for name, c in fixtures:
-        out.append(_check("limit", f"classical-lagrangian-{name}", "3.25",
-                          gauge.classical_limit(c)))
-    out.append(_reported("limit", "box-kappa-order0", "1.12",
-                         mom.box().kappa_expand(0).render()))
+        check(f"classical-lagrangian-{name}", "3.25", gauge.classical_limit(c))
+    check("box-kappa-order0", "1.12", mom.box().kappa_expand(0).render())
     e1 = ScalarValue.E(1)
     res = e1.kappa_expand(1) - (ScalarValue.number(1)
                                 + ScalarValue.k(1, 0) * ScalarValue.kappa(-1))
-    out.append(_check("limit", "kappa-expand-E-order1", "3.25", res))
+    check("kappa-expand-E-order1", "3.25", res)
     sh_scalar = (ScalarValue.E(1) - ScalarValue.E(1, -1)) * ScalarValue.number(
         Fraction(1, 2)
     )
     res = sh_scalar.kappa_expand(1) - ScalarValue.k(1, 0) * ScalarValue.kappa(-1)
-    out.append(_check("limit", "kappa-expand-sh-order1", "3.25", res))
+    check("kappa-expand-sh-order1", "3.25", res)
     for mu in range(4):
-        out.append(_check("limit", f"clifford-image-limit-{mu}", "2.10",
-                          _clifford_image_limit_residual(dirac.GAMMA4_ZERO, mu)))
-    return out
+        check(f"clifford-image-limit-{mu}", "2.10",
+              _clifford_image_limit_residual(dirac.GAMMA4_ZERO, mu))
 
 
 SUITES = {
@@ -592,6 +555,7 @@ SUITES = {
     "gauge": suite_gauge,
     "limit": suite_limit,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name, cfg=None):
@@ -606,27 +570,42 @@ def run_suite(name, cfg=None):
                          f"{', '.join(SUITE_NAMES)} or all")
     records = []
     for n in names:
-        records.extend(_run_one(n, cfg))
+        records.extend(run_checks(n, SUITES[n], cfg))
     records.sort(key=lambda r: (r.suite, r.check_id))
     return records
 
 
-def _run_one(name, cfg):
-    """The records of one suite.  A suite that raises gives one `fail`
-    record, `<suite>-raised`, whose residual names the exception, and its
-    traceback goes to standard error."""
-    t0 = time.perf_counter()
+def run_checks(suite, fn, *args):
+    """The records of `fn(*args, check)`, in the order of its `check` calls,
+    each built once with its own `wall_ms`.  If `fn` raises, one
+    `<suite>-raised` fail record follows the records made before the raise,
+    and the traceback goes to standard error."""
+    records = []
+    last = time.perf_counter()
+
+    def add(check_id, equation, status, residual):
+        nonlocal last
+        now = time.perf_counter()
+        records.append(CheckRecord(suite, check_id, equation, status, residual,
+                                   round((now - last) * 1000.0, 3)))
+        last = now
+
+    def check(check_id, equation, value):
+        if isinstance(value, str):
+            add(check_id, equation, "reported", value)
+        elif value.is_zero():
+            add(check_id, equation, "pass", "0")
+        else:
+            add(check_id, equation, "fail", value.render())
+
     try:
-        records = SUITES[name](cfg)
+        fn(*args, check)
     except Exception as exc:  # an engine fault is a failed check, not a usage error
+        add(f"{suite}-raised", "n/a", "fail", f"{type(exc).__name__}: {exc}")
         import traceback
 
         traceback.print_exc()
-        records = [CheckRecord(name, f"{name}-raised", "n/a", "fail",
-                               f"{type(exc).__name__}: {exc}")]
-    wall_ms = round((time.perf_counter() - t0) * 1000.0 / max(1, len(records)), 3)
-    return [CheckRecord(r.suite, r.check_id, r.equation, r.status, r.residual, wall_ms)
-            for r in records]
+    return records
 
 
 def render_table(records):

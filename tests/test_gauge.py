@@ -249,6 +249,23 @@ def test_read_config_text():
         gauge.read_config_text("A1 = P0")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("# c\nA0 = x0\nA1 = x0 +", "unexpected token None (line 3, column 10)"),
+    ("A0 = x0\n  A4  =  1/0  # comment", "zero denominator in a number (line 2, column 10)"),
+    ("A0 = x0\n\nA2 = tau[0] + x0", "line 3: cannot add OneForm and PositionElement"),
+], ids=["parse", "parse-indented", "evaluate"])
+def test_fixture_errors_name_the_fixture_line(tmp_path, capsys, text, error):
+    """A fixture's syntax error is positioned in the fixture, not within
+    the right-hand side alone; an evaluation error names its line."""
+    with pytest.raises(ValueError) as info:
+        gauge.read_config_text(text)
+    assert str(info.value) == error
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["gauge", "fstrength", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("text, line", [("A1 = x0\nA1 = x1", "line 2: A1"),
                                         ("g = 2\n# comment\ng = 3", "line 3: g")],
                          ids=["potential", "charge"])
@@ -310,23 +327,19 @@ def test_strength_memo_tells_charges_apart():
 
 
 # -- reference: invariants and divergence with every component re-read --------
-
-def engine_config(cfg, charged):
-    """What the engine computes for a reference below.  The references
-    write the charge out; with `charged` False they are the published,
-    charge-free formulas, the engine's of the same potentials at g = 1."""
-    return cfg if charged else gauge.GaugeConfig(cfg.A)
-
+#
+# Each reference writes the charge out.  The published, charge-free form is
+# the g = 1 case.
 
 def _raised(strength, i, j):
     """The (i, j) component with both indices moved by the 5-metric."""
     return strength.component(i, j).scale(METRIC5[i] * METRIC5[j])
 
 
-def reference_invariants(cfg, charged):
+def reference_invariants(cfg):
     """C, C_+ and C_- with each component read, raised and starred inside
     the loops, as written in the definitions."""
-    strength = reference_field_strength(cfg, charged)
+    strength = reference_field_strength(cfg)
     c = c_plus = c_minus = Z
     for i in range(5):
         for j in range(5):
@@ -348,9 +361,9 @@ def reference_invariants(cfg, charged):
     return c, c_plus, c_minus
 
 
-def reference_divergence(cfg, charged):
+def reference_divergence(cfg):
     """nabla_m F^{mk} with every raised component read inside the loops."""
-    strength = reference_field_strength(cfg, charged)
+    strength = reference_field_strength(cfg)
     out = {}
     for k in range(5):
         acc = Z
@@ -364,25 +377,23 @@ def reference_divergence(cfg, charged):
                 for n in range(5):
                     acted = act_f_lowered(m, j, act_f_lowered(n, k, cfg.A[j]))
                     correction = correction - _raised(strength, m, n) * acted
-        value = acc + correction.scale(I * cfg.g if charged else I)
+        value = acc + correction.scale(I * cfg.g)
         if not value.is_zero():
             out[k] = value
     return IndexedMap(out)
 
 
 @pytest.mark.parametrize("g", [1, 2])
-@pytest.mark.parametrize("charged", [False, True])
-def test_hoisted_invariants_and_divergence_match_reference(g, charged):
+def test_hoisted_invariants_and_divergence_match_reference(g):
     cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
-    engine_cfg = engine_config(cfg, charged)
-    assert gauge.invariants.__wrapped__(engine_cfg) == reference_invariants(cfg, charged)
-    assert gauge.divergence.__wrapped__(engine_cfg) == reference_divergence(cfg, charged)
+    assert gauge.invariants.__wrapped__(cfg) == reference_invariants(cfg)
+    assert gauge.divergence.__wrapped__(cfg) == reference_divergence(cfg)
 
 
-def reference_field_strength(cfg, charged):
-    """F_ij = del_i(A_j) - del_j(A_i) + i [g] A_k [f^k_i(A_j) - f^k_j(A_i)],
+def reference_field_strength(cfg):
+    """F_ij = del_i(A_j) - del_j(A_i) + i g A_k [f^k_i(A_j) - f^k_j(A_i)],
     one `+` per k and a plain product for each A_k term."""
-    factor = I * cfg.g if charged else I
+    factor = I * cfg.g
     A = cfg.A
     out = {}
     for i in range(5):
@@ -397,11 +408,10 @@ def reference_field_strength(cfg, charged):
 
 
 @pytest.mark.parametrize("g", [1, 2])
-@pytest.mark.parametrize("charged", [False, True])
-def test_field_strength_matches_reference(g, charged):
+def test_field_strength_matches_reference(g):
     cfg = gauge.GaugeConfig((X[1], X[0] * X[2], U1, Z, X[3]), ScalarValue.number(g))
-    got = gauge.field_strength.__wrapped__(engine_config(cfg, charged))
-    assert got == reference_field_strength(cfg, charged)
+    got = gauge.field_strength.__wrapped__(cfg)
+    assert got == reference_field_strength(cfg)
     assert not got.is_zero()
 
 
@@ -435,7 +445,7 @@ def reference_f_covariance_rhs(cfg, u):
 def reference_divergence_covariance_rhs(cfg, u):
     """U nabla_m F^{mn} f_n^k(U*), the divergence the loop reference above
     and each action a plain `act_f_lowered` call."""
-    div_old = reference_divergence(cfg, True)
+    div_old = reference_divergence(cfg)
     ustar = u.star()
     out = {}
     for k in range(5):

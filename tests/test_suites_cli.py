@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,19 +65,37 @@ def test_run_config_and_check_record_fields():
     assert hash(cfg) == hash(suites.RunConfig(seed=42))
 
 
-def test_every_record_carries_its_suite_wall_ms():
+def test_each_record_carries_its_own_wall_ms(monkeypatch):
+    """A record's wall is the time since the previous record of its run;
+    the first also pays for what the suite does before its first check."""
+    def fake(cfg, check):
+        for n in range(3):
+            check(f"c{n}", "eq", PositionElement.zero())
+
+    ticks = iter([10.0, 10.5, 10.75, 12.0])
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: next(ticks))
+    records = suites.run_checks("fake", fake, suites.RunConfig())
+    assert [(r.check_id, r.wall_ms) for r in records] == [
+        ("c0", 500.0), ("c1", 250.0), ("c2", 1250.0)]
+
+
+def test_a_suites_walls_sum_to_at_most_its_own_wall():
     cfg = suites.RunConfig(max_degree=1)
     for name in ("hopf", "limit"):
-        records = suites.run_suite(name, cfg)
-        walls = {r.wall_ms for r in records}
-        assert len(walls) == 1 and walls.pop() > 0, (name, walls)
+        t0 = time.perf_counter()
+        records = suites.run_checks(name, suites.SUITES[name], cfg)
+        outer_ms = (time.perf_counter() - t0) * 1000.0
+        walls = [r.wall_ms for r in records]
+        assert len(set(walls)) > 1 and min(walls) >= 0, (name, walls)
+        # each wall is rounded to the microsecond
+        assert sum(walls) <= outer_ms + 0.0005 * len(walls), (name, sum(walls), outer_ms)
 
 
 def test_a_raising_suite_is_a_fail_record(monkeypatch, tmp_path, capsys):
-    def boom(cfg):
+    def boom(cfg, check):
         raise ValueError("engine fault")
 
-    fake = {name: (lambda cfg: []) for name in suites.SUITE_NAMES}
+    fake = {name: (lambda cfg, check: None) for name in suites.SUITE_NAMES}
     fake.update(hopf=boom, limit=suites.suite_limit)
     monkeypatch.setattr(suites, "SUITES", fake)
     path = tmp_path / "report.jsonl"
@@ -90,6 +109,21 @@ def test_a_raising_suite_is_a_fail_record(monkeypatch, tmp_path, capsys):
     assert rest and all(r["suite"] == "limit" and r["status"] != "fail" for r in rest)
 
 
+def test_a_suite_that_raises_keeps_the_records_before_the_raise(capsys):
+    def partial(cfg, check):
+        check("first", "1.1", PositionElement.zero())
+        check("second", "1.2", "a reported text")
+        raise ZeroDivisionError("late fault")
+
+    records = suites.run_checks("fake", partial, suites.RunConfig())
+    assert [(r.check_id, r.status, r.residual) for r in records] == [
+        ("first", "pass", "0"),
+        ("second", "reported", "a reported text"),
+        ("fake-raised", "fail", "ZeroDivisionError: late fault"),
+    ]
+    assert "late fault" in capsys.readouterr().err
+
+
 def test_records_sorted_and_tagged():
     records = suites.run_suite("limit")
     keys = [(r.suite, r.check_id) for r in records]
@@ -99,6 +133,8 @@ def test_records_sorted_and_tagged():
 
 
 def test_check_status_and_text_come_from_the_residual():
+    """A residual passes when zero and otherwise fails with its rendering,
+    whatever its kind; a `str` is reported as it is."""
     x0 = PositionElement.x(0)
     tau0 = OneForm.basis(0)
     residuals = [
@@ -110,12 +146,20 @@ def test_check_status_and_text_come_from_the_residual():
         IndexedMap({"C": x0}),
         word(x0, MomentumElement.P(0)),
     ]
-    for value in residuals:
-        failed = suites._check("s", "id", "eq", value)
-        assert failed.status == "fail"
+
+    def fake(values, check):
+        for n, value in enumerate(values):
+            check(f"fail-{n}", "eq", value)
+            check(f"pass-{n}", "eq", value - value)
+        check("text", "eq", "0 but reported")
+
+    records = suites.run_checks("s", fake, residuals)
+    assert len(records) == 2 * len(residuals) + 1
+    for value, failed, passed in zip(residuals, records[0::2], records[1::2]):
+        assert (failed.suite, failed.status) == ("s", "fail")
         assert failed.residual == value.render() != "0"
-        passed = suites._check("s", "id", "eq", value - value)
         assert (passed.status, passed.residual) == ("pass", "0")
+    assert (records[-1].status, records[-1].residual) == ("reported", "0 but reported")
 
 
 def test_cli_parse_eval_and_errors():
@@ -296,20 +340,27 @@ def test_gauge_cli_round_trip(tmp_path):
                            "--unitary", "W[1]")
     assert code == 0 and "FAIL" not in out
     # at g = 2 the strength carries the charge that the transform divides
-    # out, so every covariance line passes; the closing line still reports
-    # that the published form, printed by `fstrength` without --charged,
-    # differs from the strength
+    # out, so every covariance check passes; the published form, which
+    # `fstrength` prints for the same potentials at g = 1, differs from it
     live = tmp_path / "live.kmg"
     live.write_text("A1 = x0\nA4 = x1\ng = 2\n")
     code, out, _ = run_cli("gauge", "verify", "--config", str(live))
     lines = out.splitlines()
-    assert code == 0 and [line.split()[0] for line in lines] == ["[PASS]"] * 6 + ["[INFO]"]
-    assert "literal-form residual nonzero" in lines[-1]
+    assert code == 0 and [line.split()[0] for line in lines[:-1]] == ["[PASS]"] * 7 + ["[INFO]"]
+    assert lines[-1] == "  7 passed, 0 failed, 1 reported"
+    assert "curvature-two-route-published" in lines[-2] and "residual: " in lines[-2]
     published = "F[0,1] = 1 + kappa^-1 * x1; F[0,4] = -1 * kappa^-1 * x0; F[1,4] = 1"
     charged = "F[0,1] = 1 + 2 * kappa^-1 * x1; F[0,4] = -2 * kappa^-1 * x0; F[1,4] = 1"
-    for flags, want in (([], published), (["--charged"], charged)):
-        code, out, _ = run_cli("gauge", "fstrength", "--config", str(live), *flags)
-        assert code == 0 and out == want + "\n"
+    code, out, _ = run_cli("gauge", "fstrength", "--config", str(live))
+    assert code == 0 and out == charged + "\n"
+    for text in ("A1 = x0\nA4 = x1\ng = 1\n", "A1 = x0\nA4 = x1\n"):
+        live.write_text(text)
+        code, out, _ = run_cli("gauge", "fstrength", "--config", str(live))
+        assert code == 0 and out == published + "\n"
+    code, _, err = run_cli("gauge", "fstrength", "--config", str(live), "--charged")
+    assert code == 2 and "--charged" in err
+    code, out, err = run_cli("gauge", "verify", "--config", str(live), "--unitary", "x0")
+    assert (code, out) == (2, "") and "need a unitary element" in err
     cfg2 = tmp_path / "poly.kmg"
     cfg2.write_text("A4 = x1\n")
     code, out, _ = run_cli("gauge", "limit", "--config", str(cfg2))
