@@ -1,9 +1,7 @@
 """Command-line driver.
 
     kmink parse <expr>
-    kmink eval <expr>
-    kmink act <momentum-expr> <position-expr>
-    kmink d <expr>
+    kmink eval <expr>         e.g. "act(del[0], x0^2)" or "d(x0^2)"
     kmink verify --suite <name> [--seed N] [--max-degree D]
                  [--gamma4 zero|unit:<lam>|gamma5:<lam>] [--json PATH]
     kmink gauge fstrength|transform|verify|limit --config PATH [--unitary U]
@@ -20,7 +18,7 @@ import gc
 import sys
 
 from . import dirac, suites
-from .expr import Act, EvalError, ExprError, ExtD, evaluate, parse as parse_expr, render
+from .expr import EvalError, ExprError, evaluate, parse as parse_expr, render
 from .minkowski import PositionElement
 from .scalars import ScalarValue
 
@@ -51,16 +49,6 @@ def _cmd_parse(args):
 
 def _cmd_eval(args):
     print(evaluate(parse_expr(args.expr)).render())
-    return 0
-
-
-def _cmd_act(args):
-    print(evaluate(Act(parse_expr(args.momentum), parse_expr(args.position))).render())
-    return 0
-
-
-def _cmd_d(args):
-    print(evaluate(ExtD(parse_expr(args.expr))).render())
     return 0
 
 
@@ -150,15 +138,6 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate an expression to canonical normal form")
     p.add_argument("expr")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("act", help="apply a momentum expression to a position expression")
-    p.add_argument("momentum")
-    p.add_argument("position")
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser("d", help="exterior derivative of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_d)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",

@@ -7,28 +7,33 @@ The published grammar, round-trip safe (parse(render(ast)) == ast):
     factor  := '-' factor | power
     power   := atom ('^' sint)?
     atom    := NUMBER 'i'? | symbol | '(' expr ')' | '[' expr ',' expr ']'
-             | ('star' | 'd') '(' expr ')'
-             | ('wedge' | 'act') '(' expr ',' expr ')'
-    symbol  := 'kappa' | 'box' | 'x0'..'x3' | 'P0'..'P3'
-             | 'k[' sint ',' int ']' | 'E[' sint ']' | 'Exp[' sint ']'
-             | 'W[' sint ']' | 'tau[' int ']' | 'del[' int ']' | 'e[' int ']'
-             | 'f[' int ',' int ']'
+             | function '(' expr (',' expr)* ')'
+    symbol  := name ('[' sint (',' sint)* ']')?
              | 'W{' expr ';' expr ';' expr ';' expr '}'
     NUMBER  := INT ('/' INT)?
+
+The vocabulary is data: `_SYMBOLS` gives each symbol name (`kappa`, `box`,
+`x0..x3`, `P0..P3`, `k[j,mu]`, `E[j]`, `Exp[l]`, `W[j]`, `tau[i]`,
+`del[i]`, `e[i]`, `f[i,j]`) its index ranges and its value, and
+`_FUNCTIONS` gives each function (`star`, `d`, `wedge`, `act`) its arity
+and evaluator.  The parser and the evaluator read these tables; the
+renderer has one rule for all symbols and one for all calls.
 
 `[A,B]` is the commutator; products are left associative.  The W{...}
 literal names an arbitrary ordered plane wave (three spatial entries and
 an integer combination of time symbols) so every engine value renders
 back into the grammar.
 
-The AST nodes are immutable records (`terms.Record`): a node's fields
-cannot be reassigned, and two nodes are equal, and hash equal, when they
-are of one kind with equal fields, so `Add(a, b) != Sub(a, b)`.
+The AST nodes are immutable records (`terms.Record`) that no other module
+builds: a node's fields cannot be reassigned, and two nodes are equal, and
+hash equal, when they are of one kind with equal fields, so
+`Add(a, b) != Sub(a, b)`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import momentum as mom
 from .action import HeisenbergElement, act
@@ -95,20 +100,8 @@ class Neg(Record):
     __slots__ = ("value",)
 
 
-class Star(Record):
-    __slots__ = ("value",)
-
-
-class ExtD(Record):
-    __slots__ = ("value",)
-
-
-class Wedge(Record):
-    __slots__ = ("left", "right")
-
-
-class Act(Record):
-    __slots__ = ("left", "right")
+class Call(Record):
+    __slots__ = ("name", "args")  # name: a `_FUNCTIONS` key; args: sub-expressions
 
 
 class Comm(Record):
@@ -171,23 +164,6 @@ def _lex(text):
 
 
 # -- parser ---------------------------------------------------------------------
-
-_INDEXED = {
-    # name -> (number of bracket args, validator)
-    "k": (2, lambda a: 0 <= a[1] <= 3),
-    "E": (1, lambda a: True),
-    "Exp": (1, lambda a: True),
-    "W": (1, lambda a: True),
-    "tau": (1, lambda a: 0 <= a[0] <= 4),
-    "del": (1, lambda a: 0 <= a[0] <= 4),
-    "e": (1, lambda a: 0 <= a[0] <= 4),
-    "f": (2, lambda a: 0 <= a[0] <= 4 and 0 <= a[1] <= 4),
-}
-
-_PLAIN = {"kappa", "box", "x0", "x1", "x2", "x3", "P0", "P1", "P2", "P3"}
-
-_UNARY_FUNCS = {"star": Star, "d": ExtD}
-_BINARY_FUNCS = {"wedge": Wedge, "act": Act}
 
 # Deepest nesting of brackets, calls and unary minus that parse accepts; it
 # keeps the recursive parser, renderer and evaluator well inside Python's
@@ -288,57 +264,38 @@ class _Parser:
             frac, imag = value
             return Num(Fraction(0), frac) if imag else Num(frac)
         if kind == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.group("(,)", 1, self.expr)[0]
         if kind == "[":
-            self.next()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return Comm(left, right)
+            return Comm(*self.group("[,]", 2, self.expr))
         if kind == "IDENT":
             return self.symbol_or_call()
         raise ExprError(f"unexpected token {value!r}", pos)
 
+    def group(self, marks, count, item):
+        """`count` items read by `item`, between the opening and closing
+        marks of `marks` (as "[,]") and separated by its middle mark."""
+        self.expect(marks[0])
+        items = [item()]
+        for _ in range(count - 1):
+            self.expect(marks[1])
+            items.append(item())
+        self.expect(marks[2])
+        return tuple(items)
+
     def symbol_or_call(self):
         kind, name, pos = self.next()
-        if name in _UNARY_FUNCS:
-            self.expect("(")
-            node = self.expr()
-            self.expect(")")
-            return _UNARY_FUNCS[name](node)
-        if name in _BINARY_FUNCS:
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return _BINARY_FUNCS[name](left, right)
-        if name in _PLAIN:
-            return Sym(name)
+        if name in _FUNCTIONS:
+            return Call(name, self.group("(,)", _FUNCTIONS[name][0], self.expr))
         if name == "W" and self.peek()[0] == "{":
-            self.next()
-            entries = [self.expr()]
-            for _ in range(3):
-                self.expect(";")
-                entries.append(self.expr())
-            self.expect("}")
-            return WaveLit(tuple(entries[:3]), entries[3])
-        if name in _INDEXED:
-            nargs, validate = _INDEXED[name]
-            self.expect("[")
-            args = [self.signed_int()]
-            for _ in range(nargs - 1):
-                self.expect(",")
-                args.append(self.signed_int())
-            tok = self.expect("]")
-            if not validate(args):
-                raise ExprError(f"index out of range in {name}{args}", pos)
-            return Sym(name, tuple(args))
-        raise ExprError(f"unknown symbol {name!r}", pos)
+            entries = self.group("{;}", 4, self.expr)
+            return WaveLit(entries[:3], entries[3])
+        if name not in _SYMBOLS:
+            raise ExprError(f"unknown symbol {name!r}", pos)
+        ranges = _SYMBOLS[name][0]
+        args = self.group("[,]", len(ranges), self.signed_int) if ranges else ()
+        if any(r is not None and a not in r for r, a in zip(ranges, args)):
+            raise ExprError(f"index out of range in {name}{list(args)}", pos)
+        return Sym(name, args)
 
 
 def parse(text):
@@ -405,14 +362,8 @@ def render(node):
         return f"-{_wrap(node.value, _PREC_NEG)}"
     if isinstance(node, Pow):
         return f"{_wrap(node.base, _PREC_POW + 1)}^{node.exp}"
-    if isinstance(node, Star):
-        return f"star({render(node.value)})"
-    if isinstance(node, ExtD):
-        return f"d({render(node.value)})"
-    if isinstance(node, Wedge):
-        return f"wedge({render(node.left)}, {render(node.right)})"
-    if isinstance(node, Act):
-        return f"act({render(node.left)}, {render(node.right)})"
+    if isinstance(node, Call):
+        return f"{node.name}({', '.join(render(a) for a in node.args)})"
     if isinstance(node, Comm):
         return f"[{render(node.left)}, {render(node.right)}]"
     raise TypeError(f"cannot render {type(node).__name__}")
@@ -430,6 +381,10 @@ class EvalError(ValueError):
     pass
 
 
+# The algebras that mix, through the Heisenberg double, in sums and products.
+_ALGEBRAS = (mom.MomentumElement, PositionElement, HeisenbergElement)
+
+
 def _is_scalar(v):
     return isinstance(v, ScalarValue)
 
@@ -439,7 +394,7 @@ def evaluate(node):
     if isinstance(node, Num):
         return ScalarValue.from_gaussian(GaussianRational(node.re, node.im))
     if isinstance(node, Sym):
-        return _eval_symbol(node)
+        return _SYMBOLS[node.name][1](*node.args)
     if isinstance(node, WaveLit):
         return _eval_wave(node)
     if isinstance(node, (Add, Sub, Mul)):
@@ -456,47 +411,12 @@ def evaluate(node):
         return _neg(evaluate(node.value))
     if isinstance(node, Pow):
         return _pow(evaluate(node.base), node.exp)
-    if isinstance(node, Star):
-        return _star(evaluate(node.value))
-    if isinstance(node, ExtD):
-        return _ext_d(evaluate(node.value))
-    if isinstance(node, Wedge):
-        return _wedge(evaluate(node.left), evaluate(node.right))
-    if isinstance(node, Act):
-        return _act(evaluate(node.left), evaluate(node.right))
+    if isinstance(node, Call):
+        return _FUNCTIONS[node.name][1](*(evaluate(a) for a in node.args))
     if isinstance(node, Comm):
         left, right = evaluate(node.left), evaluate(node.right)
         return _add(_mul(left, right), _neg(_mul(right, left)))
     raise EvalError(f"cannot evaluate {type(node).__name__}")
-
-
-def _eval_symbol(node):
-    name, args = node.name, node.args
-    if name == "kappa":
-        return ScalarValue.kappa(1)
-    if name == "box":
-        return mom.box()
-    if name.startswith("x") and name in _PLAIN:
-        return PositionElement.x(int(name[1]))
-    if name.startswith("P") and name in _PLAIN:
-        return mom.MomentumElement.P(int(name[1]))
-    if name == "k":
-        return ScalarValue.k(args[0], args[1])
-    if name == "E":
-        return ScalarValue.E(args[0])
-    if name == "Exp":
-        return mom.MomentumElement.exp_weight(args[0])
-    if name == "W":
-        return PositionElement.wave(PlaneWave.label(args[0]))
-    if name == "tau":
-        return OneForm.basis(args[0])
-    if name == "del":
-        return mom.derivatives()[args[0]]
-    if name == "e":
-        return mom.vector_fields()[args[0]]
-    if name == "f":
-        return mom.f_matrix()[args[0]][args[1]]
-    raise EvalError(f"unknown symbol {name}")
 
 
 def _eval_wave(node):
@@ -540,8 +460,10 @@ def _mul(a, b):
         return b.left_mul(a)
     if isinstance(a, OneForm) and isinstance(b, PositionElement):
         return a.right_mul(b)
-    if isinstance(a, (OneForm, TwoForm)) or isinstance(b, (OneForm, TwoForm)):
+    if isinstance(a, OneForm) and isinstance(b, OneForm):
         raise EvalError("use wedge(...) to multiply forms")
+    if isinstance(a, (OneForm, TwoForm)) or isinstance(b, (OneForm, TwoForm)):
+        raise EvalError(f"cannot multiply {type(a).__name__} and {type(b).__name__}")
     a, b = _promote_pair(a, b)
     return a * b
 
@@ -551,7 +473,7 @@ def _pow(a, n):
         return a ** n
     if n < 0:
         raise EvalError("negative powers need a scalar base")
-    if isinstance(a, (mom.MomentumElement, PositionElement, HeisenbergElement)):
+    if isinstance(a, _ALGEBRAS):
         return a ** n
     raise EvalError(f"cannot raise {type(a).__name__} to a power")
 
@@ -601,16 +523,44 @@ def _promote_pair(a, b):
         return a, _lift_scalar(b, a)
     if type(a) is type(b):
         return a, b
-    kinds = {type(a), type(b)}
-    if kinds == {mom.MomentumElement, PositionElement} or HeisenbergElement in kinds:
+    if isinstance(a, _ALGEBRAS) and isinstance(b, _ALGEBRAS):
         return HeisenbergElement.coerce(a), HeisenbergElement.coerce(b)
     return a, b
 
 
 def _lift_scalar(s, like):
-    if isinstance(like, (mom.MomentumElement, PositionElement, HeisenbergElement)):
+    if isinstance(like, _ALGEBRAS):
         return type(like).scalar(s)
     raise EvalError(f"cannot combine a scalar with {type(like).__name__}")
+
+
+# -- vocabulary ---------------------------------------------------------------------
+
+_ANY, _MU, _I = None, range(4), range(5)  # index ranges: any integer, 0..3, 0..4
+
+_SYMBOLS = {
+    # name -> (the range of each index, the value as a callable of the indices)
+    "kappa": ((), ScalarValue.kappa),
+    "box": ((), mom.box),
+    **{f"x{mu}": ((), partial(PositionElement.x, mu)) for mu in _MU},
+    **{f"P{mu}": ((), partial(mom.MomentumElement.P, mu)) for mu in _MU},
+    "k": ((_ANY, _MU), ScalarValue.k),
+    "E": ((_ANY,), ScalarValue.E),
+    "Exp": ((_ANY,), mom.MomentumElement.exp_weight),
+    "W": ((_ANY,), lambda j: PositionElement.wave(PlaneWave.label(j))),
+    "tau": ((_I,), OneForm.basis),
+    "del": ((_I,), lambda i: mom.derivatives()[i]),
+    "e": ((_I,), lambda i: mom.vector_fields()[i]),
+    "f": ((_I, _I), lambda i, j: mom.f_matrix()[i][j]),
+}
+
+_FUNCTIONS = {
+    # name -> (arity, the function of its evaluated arguments)
+    "star": (1, _star),
+    "d": (1, _ext_d),
+    "wedge": (2, _wedge),
+    "act": (2, _act),
+}
 
 
 def evaluate_text(text):

@@ -395,6 +395,8 @@ class ScalarValue(TermMap):
 
     def inverse(self):
         """Reciprocal of a single monomial with no k symbols."""
+        if not self.terms:
+            raise ValueError("zero has no inverse")
         if len(self.terms) != 1:
             raise ValueError("only monomial scalars are invertible")
         (key, c), = self.terms.items()

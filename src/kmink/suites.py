@@ -613,7 +613,7 @@ def render_table(records):
     width = max((len(r.check_id) for r in records), default=10)
     for r in records:
         mark = {"pass": "PASS", "fail": "FAIL", "reported": "INFO"}[r.status]
-        residual = "" if r.residual in ("0", "") else f"  residual: {r.residual}"
+        residual = "" if r.status == "pass" else f"  residual: {r.residual}"
         lines.append(
             f"[{mark}] {r.suite:8s} {r.check_id:<{width}s}  eq {r.equation:8s}"
             f" {r.wall_ms:8.2f} ms{residual}"

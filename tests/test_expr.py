@@ -20,7 +20,7 @@ def test_parse_examples():
         expr.Mul(expr.Sym("x1"), expr.Sym("x0")),
     )
     ast = expr.parse("act(del[0], x0^2)")
-    assert ast == expr.Act(expr.Sym("del", (0,)), expr.Pow(expr.Sym("x0"), 2))
+    assert ast == expr.Call("act", (expr.Sym("del", (0,)), expr.Pow(expr.Sym("x0"), 2)))
 
 
 def test_nodes_are_frozen_records():
@@ -158,16 +158,21 @@ def random_ast(rng, depth):
     if kind == 6:
         return expr.Pow(random_ast(rng, 0), rng.choice((-2, -1, 2, 3)))
     if kind == 7:
-        return expr.Star(random_ast(rng, depth - 1))
+        name = rng.choice(sorted(expr._FUNCTIONS))
+        arity = expr._FUNCTIONS[name][0]
+        return expr.Call(name, tuple(random_ast(rng, depth - 1) for _ in range(arity)))
     return expr.Comm(random_ast(rng, depth - 1), random_ast(rng, depth - 1))
 
 
 def test_round_trip_corpus():
     rng = random.Random(97)
+    names = set()
     for n in range(200):
         ast = random_ast(rng, rng.randint(1, 4))
         text = expr.render(ast)
         assert expr.parse(text) == ast, text
+        names.update(name for name in expr._FUNCTIONS if f"{name}(" in text)
+    assert names == set(expr._FUNCTIONS)
 
 
 def test_round_trip_functions():

@@ -124,6 +124,16 @@ def test_a_suite_that_raises_keeps_the_records_before_the_raise(capsys):
     assert "late fault" in capsys.readouterr().err
 
 
+def test_the_table_shows_a_reported_zero():
+    def fake(check):
+        check("held", "1.1", PositionElement.zero())
+        check("zero", "1.2", "0")
+
+    lines = suites.render_table(suites.run_checks("fake", fake)).splitlines()
+    assert lines[0].endswith(" ms") and "residual" not in lines[0]
+    assert lines[1].startswith("[INFO]") and lines[1].endswith(" ms  residual: 0")
+
+
 def test_records_sorted_and_tagged():
     records = suites.run_suite("limit")
     keys = [(r.suite, r.check_id) for r in records]
@@ -216,10 +226,25 @@ def test_cli_parse_eval_and_errors():
 
 
 def test_cli_act_and_d():
-    code, out, _ = run_cli("act", "del[0]", "x0^2")
+    code, out, _ = run_cli("eval", "act(del[0], x0^2)")
     assert code == 0 and out.strip() == "2 * x0"
-    code, out, _ = run_cli("d", "x0^2")
+    code, out, _ = run_cli("eval", "d(x0^2)")
     assert code == 0 and "tau[4]" in out
+    # `eval` is the one evaluation command: `act` and `d` are usage errors
+    for argv in (("act", "del[0]", "x0^2"), ("d", "x0^2")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and "invalid choice" in err
+
+
+def test_cli_eval_errors_exit_2_with_their_cause():
+    for text, message in (
+        ("tau[0] * tau[1]", "use wedge(...) to multiply forms"),
+        ("tau[0] * P1", "cannot multiply OneForm and MomentumElement"),
+        ("x0 * wedge(tau[0], tau[1])", "cannot multiply PositionElement and TwoForm"),
+        ("0^-1", "zero has no inverse"),
+        ("P0 * x0 + tau[0]", "cannot add HeisenbergElement and OneForm"),
+    ):
+        assert run_cli("eval", text) == (2, "", f"error: {message}\n")
 
 
 def test_cli_verify_json(tmp_path):
@@ -339,6 +364,10 @@ def test_gauge_cli_round_trip(tmp_path):
     code, out, _ = run_cli("gauge", "verify", "--config", str(cfg),
                            "--unitary", "W[1]")
     assert code == 0 and "FAIL" not in out
+    # at g = 1 the published form is the strength: its residual is a shown 0
+    published_line = out.splitlines()[-2]
+    assert "curvature-two-route-published" in published_line
+    assert published_line.endswith(" ms  residual: 0")
     # at g = 2 the strength carries the charge that the transform divides
     # out, so every covariance check passes; the published form, which
     # `fstrength` prints for the same potentials at g = 1, differs from it
