@@ -26,40 +26,40 @@ remainder on the right.  d_m touches only x^a, d_0 and sigma only x^0,
 and R only the remainder, so the monomial P^b P_0^d Exp[l] passes in
 closed form: each factor (-i d + c1 R + c0)^n is one binomial sum, and
 their product applies sigma^s (s the net shift count) to the x^0 power
-left by d_0, one `binomial_shift`.  `_pass_momentum` is that expansion
-and keeps every remainder; `HeisenbergElement.mono_mul`, the memoised
-normal form of one mixed monomial times another, is built from it and
-`PositionElement.mono_mul`, and the term-map core forms products and sums
-of products of mixed words from it.  The left action `act` is the vacuum
-projection of the same expansion (`_act_key`): the terms with a P
-remainder drop out and an Exp remainder goes to 1, the momentum counit.
+left by d_0, one `binomial_shift`.  `_pass_momentum` is that expansion;
+`HeisenbergElement.mono_mul`, the normal form of one mixed monomial times
+another, is built from it and `PositionElement.mono_mul`, and the
+term-map core forms products and sums of products of mixed words from it.
+The left action `act` is the vacuum projection of the same expansion
+(`_pass_momentum` with `vacuum`): the terms with a P remainder drop out
+and an Exp remainder goes to 1, the momentum counit.  Every one of these
+closed forms is memoised by the one policy of the core,
+`terms.normal_form`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, perm
 
 from . import momentum as mom
 from .minkowski import KEY_UNIT, PositionElement, binomial_shift
 from .scalars import ONE, ScalarValue
-from .terms import TermMap, contract, share
+from .terms import TermMap, contract, normal_form, share
 
-MOM_UNIT = ((0, 0, 0), 0, 0)
-_NO_AXIS = ((0, 0, ONE),)  # a generator to the power 0
+_NO_AXIS = (((0, 0), ONE),)  # a generator to the power 0
 
 
-@lru_cache(maxsize=20000)
+@normal_form
 def _axis(axis, n, e, w, vacuum):
     """(-i d + c1 R + c0)^n on a coordinate power of exponent e, on the
     monomial's wave w of momentum (q, K): P_m^n on x^m for axis = m - 1 in
     0..2 (c1 = E_K^-1, c0 = q_m), or P_0^n on x^0 for axis 3 (c1 = 1,
-    c0 = K).  A tuple of (j, k, ScalarValue) triples, j the order of d and
-    k the power of R, with coefficient
-    C(n, j) e!/(e-j)! (-i)^j C(n-j, k) c1^k c0^(n-j-k).  With `vacuum`
-    only k = 0; a vanishing c0 keeps only its zeroth power."""
+    c0 = K).  As {(j, k): coefficient}, j the order of d and k the power
+    of R, with coefficient C(n, j) e!/(e-j)! (-i)^j C(n-j, k) c1^k
+    c0^(n-j-k).  With `vacuum` only k = 0; a vanishing c0 keeps only its
+    zeroth power."""
     c1, c0 = (ONE, w.time_scalar()) if axis == 3 else (w.e_power(-1), w.spatial[axis])
-    pieces = []
+    pieces = {}
     for j in range(min(n, e) + 1):
         rest, lead = n - j, comb(n, j) * perm(e, j)
         for k in ((0,) if vacuum else range(rest + 1)):
@@ -72,44 +72,34 @@ def _axis(axis, n, e, w, vacuum):
                 coeff = coeff * c1 ** k
             if p:
                 coeff = coeff * c0 ** p
-            pieces.append((j, k, share(coeff)))
-    return tuple(pieces)
+            pieces[j, k] = coeff
+    return pieces
 
 
-def _pass(momkey, poskey, vacuum):
-    """The normal form of momkey * poskey in closed form (module docstring),
-    as a {key: ScalarValue} dict: keys are (position key, momentum key)
-    pairs, or with `vacuum` position keys alone, the terms with a P
-    remainder left out and an Exp remainder sent to 1."""
+@normal_form
+def _pass_momentum(momkey, poskey, vacuum):
+    """The normal form of momkey * poskey in closed form (module docstring):
+    keys are (position key, momentum key) pairs, built from shared parts,
+    or with `vacuum` position keys alone, the terms with a P remainder left
+    out and an Exp remainder sent to 1."""
     (b, d, lam), (a, t, w) = momkey, poskey
     # (d_m orders, R_m powers, net sigma count, coefficient) over P^b Exp[lam]
     combos = [((), (), -lam, w.e_power(lam) if lam else ONE)]
     for m in range(3):
         pieces = _axis(m, b[m], a[m], w, vacuum) if b[m] else _NO_AXIS
         combos = [(js + (j,), ks + (k,), s + b[m] - j, cm if c is ONE else c * cm)
-                  for js, ks, s, c in combos for j, k, cm in pieces]
+                  for js, ks, s, c in combos for (j, k), cm in pieces]
     p0 = _axis(3, d, t, w, vacuum) if d else _NO_AXIS
     rlam = 0 if vacuum else lam
     images = []
     for js, ks, s, c in combos:
         pa = (a[0] - js[0], a[1] - js[1], a[2] - js[2])
-        for r, k0, c0 in p0:
+        for (r, k0), c0 in p0:
             rem = (ks, k0, rlam)
             images.append(((c if c0 is ONE else c * c0).terms, tuple(
-                ((pa, u, w) if vacuum else ((pa, u, w), rem), cu)
-                for u, cu in enumerate(binomial_shift(s, t - r)) if cu)))
+                ((pa, u, w) if vacuum else (share((pa, u, w)), share(rem)), cu)
+                for u, cu in binomial_shift(s, t - r))))
     return contract(images)
-
-
-@lru_cache(maxsize=200000)
-def _pass_momentum(momkey, poskey):
-    """Commute one momentum monomial past one position monomial.
-
-    Returns a tuple of (position key, momentum key, ScalarValue) triples
-    whose sum is the normal form of momkey * poskey.
-    """
-    return tuple((share(p), share(m), share(c))
-                 for (p, m), c in _pass(momkey, poskey, False).items())
 
 
 def act(p, a):
@@ -124,26 +114,18 @@ def act(p, a):
     terms = p.terms
     if not terms:
         return PositionElement()
-    if len(terms) == 1 and terms.get(MOM_UNIT) is ONE:
+    if len(terms) == 1 and terms.get(mom.KEY_UNIT) is ONE:
         return a
     return PositionElement(contract(
         (ca.terms, _act_monomial(p, poskey)) for poskey, ca in a.terms.items()
     ))
 
 
-@lru_cache(maxsize=200000)
-def _act_key(momkey, poskey):
-    """momkey |> poskey as shared (key, ScalarValue) pairs: the vacuum
-    projection of `_pass_momentum`, expanded with no remainder at all."""
-    return tuple((share(k), share(c)) for k, c in _pass(momkey, poskey, True).items())
-
-
-@lru_cache(maxsize=200000)
+@normal_form
 def _act_monomial(p, poskey):
-    """act(p, ·) on one position monomial, as a tuple of (key, ScalarValue)
-    pairs with shared keys and coefficients."""
-    out = contract((cp.terms, _act_key(momkey, poskey)) for momkey, cp in p.terms.items())
-    return tuple((share(k), share(c)) for k, c in out.items())
+    """act(p, ·) on one position monomial."""
+    return contract((cp.terms, _pass_momentum(momkey, poskey, True))
+                    for momkey, cp in p.terms.items())
 
 
 def act_derivative(i, a):
@@ -166,11 +148,11 @@ class HeisenbergElement(TermMap):
 
     __slots__ = ()
 
-    UNIT = (KEY_UNIT, MOM_UNIT)
+    UNIT = (KEY_UNIT, mom.KEY_UNIT)
 
     @staticmethod
     def from_position(a):
-        return HeisenbergElement({(k, MOM_UNIT): c for k, c in a.terms.items()})
+        return HeisenbergElement({(k, mom.KEY_UNIT): c for k, c in a.terms.items()})
 
     @staticmethod
     def from_momentum(p):
@@ -185,18 +167,18 @@ class HeisenbergElement(TermMap):
         return super()._coerce(x)
 
     @staticmethod
-    @lru_cache(maxsize=200000)
+    @normal_form
     def mono_mul(key1, key2):
         """(p1 m1)(p2 m2) = p1 (m1 p2) m2: m1 passes p2 (`_pass_momentum`),
         each piece's position part multiplies p1 (`PositionElement.mono_mul`)
-        and its momentum part m2; shared (key, ScalarValue) pairs."""
+        and its momentum part m2."""
         (p1, m1), (p2, m2) = key1, key2
         images = []
-        for pmid, mmid, cmid in _pass_momentum(m1, p2):
+        for (pmid, mmid), cmid in _pass_momentum(m1, p2, False):
             mk = mom.key_mul(mmid, m2)
             images.append((cmid.terms, tuple(((pk, mk), c)
                                              for pk, c in PositionElement.mono_mul(p1, pmid))))
-        return tuple((share(k), share(c)) for k, c in contract(images).items())
+        return contract(images)
 
     @classmethod
     def coerce(cls, x):

@@ -2,8 +2,7 @@
 
     kmink parse <expr>
     kmink eval <expr>         e.g. "act(del[0], x0^2)" or "d(x0^2)"
-    kmink verify --suite <name> [--seed N] [--max-degree D]
-                 [--gamma4 zero|unit:<lam>|gamma5:<lam>] [--json PATH]
+    kmink verify --suite <name> [--seed N] [--max-degree D] [--json PATH]
     kmink gauge fstrength|transform|verify|limit --config PATH [--unitary U]
 
 Exit codes: 0 pass, 1 assertion failure (a suite that raises is one), 2 usage
@@ -17,28 +16,15 @@ import atexit
 import gc
 import sys
 
-from . import dirac, suites
-from .expr import EvalError, ExprError, evaluate, parse as parse_expr, render
+from . import suites
+from .expr import EvalError, evaluate, parse as parse_expr, render
 from .minkowski import PositionElement
-from .scalars import ScalarValue
 
 # The engine's values are acyclic, so reference counting frees them and the
 # cyclic collector, which `main` switches off while a command runs, would
 # only walk the normal-form caches.  At exit the interpreter collects again
 # over every live object; freezing them first lets that pass skip the caches.
 atexit.register(gc.freeze)
-
-
-def _parse_gamma4(text):
-    if text == "zero":
-        return dirac.GAMMA4_ZERO
-    for kind in ("unit", "gamma5"):
-        if text.startswith(kind + ":"):
-            lam = evaluate(parse_expr(text[len(kind) + 1:]))
-            if not isinstance(lam, ScalarValue):
-                raise ExprError("gamma4 coefficient must be a scalar expression")
-            return dirac.Gamma4(kind, lam)
-    raise ExprError(f"bad gamma4 choice {text!r}; use zero, unit:<lam> or gamma5:<lam>")
 
 
 def _cmd_parse(args):
@@ -53,8 +39,7 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
-    cfg = suites.RunConfig(seed=args.seed, max_degree=args.max_degree,
-                           gamma4=_parse_gamma4(args.gamma4))
+    cfg = suites.RunConfig(seed=args.seed, max_degree=args.max_degree)
     records = suites.run_suite(args.suite, cfg)
     code = _report(records)
     if args.json:
@@ -144,7 +129,6 @@ def build_parser():
                    choices=list(suites.SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--max-degree", type=_nonnegative_int, default=2)
-    p.add_argument("--gamma4", default="zero")
     p.add_argument("--json", default=None, help="write line-delimited records here")
     p.set_defaults(func=_cmd_verify)
 

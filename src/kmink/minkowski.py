@@ -31,16 +31,16 @@ per value.  No infinite series ever appears.
 
 `PositionElement.mono_mul` is that normal form; the product, `dot` (many
 products sum x * y) and the coproduct come from it and the generator
-images through the term-map core.
+images through the term-map core.  It and its parts, `binomial_shift` and
+`_drift`, are memoised by the one policy of the core, `terms.normal_form`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .scalars import I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, accumulate, share
+from .terms import TensorSquare, TermMap, accumulate, normal_form
 
 _KAPPA_INV = ScalarValue.kappa(-1)
 IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
@@ -148,50 +148,51 @@ _STARS[W_IDENTITY] = W_IDENTITY
 KEY_UNIT = ((0, 0, 0), 0, W_IDENTITY)
 
 
-@lru_cache(maxsize=4096)
+@normal_form
 def binomial_shift(n, t):
     """The coefficients of (x^0 + s)^t = sum_r C(t, r) s^(t-r) x0^r for the
-    shift s = n i/kappa, as a tuple indexed by r, each power of s one
-    product after the last: the one binomial expansion of the engine."""
+    shift s = n i/kappa, as {r: coefficient} with zeros dropped, each power
+    of s one product after the last: the one binomial expansion of the
+    engine."""
     out, power, shift = [], ONE, ScalarValue.number(n) * IMK
     for r in range(t, -1, -1):
-        out.append(share(ScalarValue.number(comb(t, r)) * power))
+        if power:
+            out.append((r, ScalarValue.number(comb(t, r)) * power))
         if r:
             power = power * shift
-    return tuple(reversed(out))
+    return dict(reversed(out))
 
 
-@lru_cache(maxsize=4096)
+@normal_form
 def _drift(q, t):
     """(x^0 + q.x/kappa)^t, the image of x0^t carried left past exp(i q.x):
-    a wave-free PositionElement, formed once per (q, t).  Its products go
-    through `dot`, not `*`, so the traced `PositionElement.__mul__` counts
-    only products asked for from outside the normal form."""
+    a wave-free polynomial.  Its products go through `dot`, not `*`, so the
+    traced `PositionElement.__mul__` counts only products asked for from
+    outside the normal form."""
     base = PositionElement({((0, 0, 0), 1, W_IDENTITY): ONE, **{
         (axis, 0, W_IDENTITY): s * _KAPPA_INV for axis, s in zip(_AXES, q) if s}})
     acc = base
     for _ in range(t - 1):
         acc = dot(((acc, base),))
-    return acc
+    return acc.terms
 
 
-@lru_cache(maxsize=200000)
+@normal_form
 def _mono_mul(key1, key2):
-    """Normal form of the monomial `key1` times the monomial `key2`, as a
-    tuple of (key, ScalarValue) pairs with shared keys and coefficients:
-    the closed form of the module docstring."""
+    """Normal form of the monomial `key1` times the monomial `key2`: the
+    closed form of the module docstring."""
     (a, d, w), (b, t, v) = key1, key2
     nb = b[0] + b[1] + b[2]
-    poly = {((0, 0, 0), r, W_IDENTITY): c for r, c in enumerate(binomial_shift(nb, d)) if c}
+    poly = {((0, 0, 0), r, W_IDENTITY): c for r, c in binomial_shift(nb, d)}
     if t and any(w.spatial):
-        poly = dot(((PositionElement(poly), _drift(w.spatial, t)),)).terms
+        drift = PositionElement(dict(_drift(w.spatial, t)))
+        poly = dot(((PositionElement(poly), drift),)).terms
     elif t:
         poly = {(e, r + t, W_IDENTITY): c for (e, r, _w), c in poly.items()}
     scale = w.e_power(-nb) if nb and w.time else ONE
     ab, wv = (a[0] + b[0], a[1] + b[1], a[2] + b[2]), w * v
-    return tuple((share(((ab[0] + e[0], ab[1] + e[1], ab[2] + e[2]), r, wv)),
-                  share(c if scale is ONE else c * scale))
-                 for (e, r, _w), c in poly.items())
+    return {((ab[0] + e[0], ab[1] + e[1], ab[2] + e[2]), r, wv): c if scale is ONE else c * scale
+            for (e, r, _w), c in poly.items()}
 
 
 class PositionElement(TermMap):

@@ -13,7 +13,7 @@ also pays for its set-up and for the caches it fills.  A suite that raises
 keeps the records made before the raise, followed by one `fail` record,
 `<suite>-raised`, whose residual is the exception's type and message.
 
-Suites are deterministic in (seed, max_degree, gamma4); records are
+Suites are deterministic in (seed, max_degree); records are
 order-normalized so the machine-readable output is byte-identical across
 runs.  Wall times are in the human table only; the JSON ledger has none.
 """
@@ -45,8 +45,8 @@ class CheckRecord(Record):
 
 
 class RunConfig(Record):
-    __slots__ = ("seed", "max_degree", "gamma4")
-    DEFAULTS = {"seed": 42, "max_degree": 2, "gamma4": dirac.GAMMA4_ZERO}
+    __slots__ = ("seed", "max_degree")
+    DEFAULTS = {"seed": 42, "max_degree": 2}
 
 
 # -- hopf ---------------------------------------------------------------------
@@ -405,13 +405,13 @@ def suite_dirac(cfg, check):
         a = fuzz.rand_position(rng, min(cfg.max_degree, 2), n_terms=2)
         psi = fuzz.rand_spinor(rng, min(cfg.max_degree, 2))
         i = rng.randrange(5)
-        lhs = dirac.op_apply(dirac.clifford_image(i, cfg.gamma4), psi.left_mul(a))
+        lhs = dirac.op_apply(dirac.clifford_image(i, rep_zero), psi.left_mul(a))
         rhs = IndexedMap()
         for j in range(5):
             fa = act_f(i, j, a)
             if fa.is_zero():
                 continue
-            rhs = rhs + dirac.op_apply(dirac.clifford_image(j, cfg.gamma4), psi).left_mul(fa)
+            rhs = rhs + dirac.op_apply(dirac.clifford_image(j, rep_zero), psi).left_mul(fa)
         check(f"clifford-bimodule-{n:02d}", "1.21", lhs - rhs)
 
     for i, text in dirac.check_antihermiticity():

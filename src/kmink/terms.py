@@ -27,6 +27,12 @@ accumulator per output key and reduces each coefficient once at the end.
 The coefficient ring `scalars.ScalarValue` is a term map too, with
 GaussianRational coefficients and its own product.
 
+Every closed normal form of the engine (a monomial product, a coproduct
+image, a binomial shift, momentum passing, the action) is memoised one
+way: `normal_form` caches it under the one bound `MEMO_SIZE` and hands out
+a tuple of (key, coefficient) pairs, each `share`d, so a distinct key or
+coefficient is stored once however many entries hold it.
+
 An `IndexedMap` is the same container over plain index keys (a row, a
 `(row, col)` pair, a name) whose coefficients are algebra elements or
 term maps: one-forms, spinors, 4x4 operators and families of residuals.
@@ -39,7 +45,7 @@ the suites' records and run settings.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import scalars  # read at call time: scalars imports this module
 
@@ -47,12 +53,25 @@ from . import scalars  # read at call time: scalars imports this module
 # Every value `share` has returned, keyed by (type, value); never evicted.
 _SHARED = {}
 
+# Entries each `normal_form` memo keeps before it evicts the least recent.
+MEMO_SIZE = 200000
+
 
 def share(x):
     """The first value equal to `x` (and of its type) passed here, stored if
     new: the caches of normal forms keep each distinct immutable key and
     coefficient once, however many entries hold it."""
     return _SHARED.setdefault((type(x), x), x)
+
+
+def normal_form(fn):
+    """Memoise the closed form `fn`, which returns a {key: coefficient}
+    dict, as a tuple of shared (key, coefficient) pairs in the dict's
+    order.  The memo has `cache_info()`, and `__wrapped__` is `fn` itself."""
+    @lru_cache(maxsize=MEMO_SIZE)
+    def memo(*args):
+        return tuple((share(k), share(c)) for k, c in fn(*args).items())
+    return wraps(fn)(memo)
 
 
 def accumulate(out, key, coeff):
@@ -84,12 +103,12 @@ def contract(images, out=None):
     return {key: s for key, acc in out.items() if (s := from_sum(acc)).terms}
 
 
-@lru_cache(maxsize=100000)
+@normal_form
 def _coproduct_image(cls, key):
-    """The coproduct of one monomial (x^a x0^d g) of the algebra `cls`, as
-    shared (key, ScalarValue) pairs: the product, in normal order, of the
-    powers of the generator images `cls.GENERATOR_IMAGES`, then g (x) g for
-    a group-like g other than the unit's."""
+    """The coproduct of one monomial (x^a x0^d g) of the algebra `cls`: the
+    product, in normal order, of the powers of the generator images
+    `cls.GENERATOR_IMAGES`, then g (x) g for a group-like g other than the
+    unit's."""
     spatial, d, g = key
     factors = [gen ** e for gen, e in zip(cls.GENERATOR_IMAGES, (*spatial, d)) if e]
     if g != cls.UNIT[2]:
@@ -98,7 +117,7 @@ def _coproduct_image(cls, key):
     image = factors[0] if factors else cls.TENSOR.one()
     for factor in factors[1:]:
         image = image * factor
-    return tuple((share(k), share(c)) for k, c in image.terms.items())
+    return image.terms
 
 
 class TermMap:

@@ -100,6 +100,18 @@ def test_diagram_examples():
     assert dirac.check_diagram(X[1] * X[0], psi, REP_ZERO).is_zero()
 
 
+def _bimodule_residual(i, rep, a, psi):
+    """tau^i_c (a psi) - sum_j (f^i_j |> a) tau^j_c psi, eq. 1.21."""
+    lhs = dirac.op_apply(dirac.clifford_image(i, rep), psi.left_mul(a))
+    rhs = IndexedMap()
+    for j in range(5):
+        fa = act_f(i, j, a)
+        if fa.is_zero():
+            continue
+        rhs = rhs + dirac.op_apply(dirac.clifford_image(j, rep), psi).left_mul(fa)
+    return lhs - rhs
+
+
 def test_clifford_bimodule_relation():
     rng = random.Random(73)
     for rep in ALL_REPS:
@@ -107,14 +119,20 @@ def test_clifford_bimodule_relation():
             a = rand_position(rng, 2, n_terms=2)
             psi = rand_spinor(rng, 2)
             for i in range(5):
-                lhs = dirac.op_apply(dirac.clifford_image(i, rep), psi.left_mul(a))
-                rhs = IndexedMap()
-                for j in range(5):
-                    fa = act_f(i, j, a)
-                    if fa.is_zero():
-                        continue
-                    rhs = rhs + dirac.op_apply(dirac.clifford_image(j, rep), psi).left_mul(fa)
-                assert (lhs - rhs).is_zero()
+                assert _bimodule_residual(i, rep, a, psi).is_zero()
+
+
+def test_clifford_bimodule_relation_for_the_nonzero_gamma4_choices():
+    """The `clifford-bimodule-*` checks of `suite_dirac` use gamma_4 = 0;
+    the law holds as well for the unit and gamma5 choices at lambda = 1,
+    on a few seeded witnesses each."""
+    for rep in (dirac.Gamma4("unit"), dirac.Gamma4("gamma5")):
+        rng = random.Random(f"bimodule/{rep.kind}")
+        for _ in range(3):
+            a = rand_position(rng, 2, n_terms=2)
+            psi = rand_spinor(rng, 2)
+            for i in range(5):
+                assert _bimodule_residual(i, rep, a, psi).is_zero()
 
 
 def test_published_clifford_variant_differs():

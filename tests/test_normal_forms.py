@@ -10,10 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from kmink import momentum as mom
 from kmink.action import (
-    MOM_UNIT,
     HeisenbergElement,
-    _act_key,
     _act_monomial,
+    _axis,
     _pass_momentum,
     act,
     word,
@@ -22,13 +21,14 @@ from kmink.minkowski import (
     PlaneWave,
     PositionElement,
     W_IDENTITY,
+    _drift,
     _mono_mul,
     binomial_shift,
     dot,
 )
 from kmink.momentum import MomentumElement
 from kmink.scalars import I, LIMIT, ONE, ScalarValue
-from kmink.terms import accumulate, contract, share
+from kmink.terms import _coproduct_image, accumulate, contract, share
 
 LABELS = (1, 2, 3)
 
@@ -225,7 +225,7 @@ def reference_mono_mul(key1, key2):
 @settings(max_examples=80, deadline=None)
 @given(position_keys(max_degree=4), position_keys(max_degree=4))
 def test_closed_form_matches_factor_by_factor_rewriting(k1, k2):
-    assert PositionElement(dict(_mono_mul.__wrapped__(k1, k2))) == reference_mono_mul(k1, k2)
+    assert PositionElement(_mono_mul.__wrapped__(k1, k2)) == reference_mono_mul(k1, k2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,18 +254,40 @@ def test_a_wave_star_is_formed_once_and_is_an_involution(w):
     assert star.star() is w
 
 
+# Each memoised normal form with a strategy for its arguments.
+MEMOS = (
+    (_coproduct_image, st.one_of(st.tuples(st.just(PositionElement), position_keys()),
+                                 st.tuples(st.just(MomentumElement), momentum_keys()))),
+    (binomial_shift, st.tuples(st.integers(-3, 3), st.integers(0, 4))),
+    (_drift, st.tuples(waves().map(lambda w: w.spatial), st.integers(1, 3))),
+    (_mono_mul, st.tuples(position_keys(), position_keys())),
+    (_axis, st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3), waves(),
+                      st.booleans())),
+    (_pass_momentum, st.tuples(deep_momentum_keys(), position_keys(), st.just(False))),
+    (_pass_momentum, st.tuples(deep_momentum_keys(), position_keys(), st.just(True))),
+    (_act_monomial, st.tuples(st.sampled_from(PROBES), position_keys())),
+    (HeisenbergElement.mono_mul, st.tuples(st.tuples(position_keys(), momentum_keys()),
+                                           st.tuples(position_keys(), momentum_keys()))),
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(position_keys(), position_keys(), momentum_keys(), st.sampled_from(PROBES))
-def test_memoised_forms_equal_a_recomputation(k1, k2, mk, p):
-    assert _mono_mul(k1, k2) == _mono_mul.__wrapped__(k1, k2)
-    assert _pass_momentum(mk, k1) == _pass_momentum.__wrapped__(mk, k1)
-    assert _act_monomial(p, k1) == _act_monomial.__wrapped__(p, k1)
-    assert _act_key(mk, k1) == _act_key.__wrapped__(mk, k1)
+@given(st.data())
+def test_memoised_forms_equal_a_recomputation(data):
+    """Every memo, `_pass_momentum` with and without `vacuum`, hands out the
+    pairs of its closed form recomputed, each key and coefficient the shared
+    instance of its value."""
+    for memo, arguments in MEMOS:
+        args = data.draw(arguments)
+        got = memo(*args)
+        again = memo.__wrapped__(*args)
+        assert got == tuple(again.items())
+        for (key, coeff), (key2, coeff2) in zip(got, again.items()):
+            assert share(key2) is key and share(coeff2) is coeff
 
 
 # -- closed-form momentum passing against the one-generator step table ---------
 
-MOM_UNIT = ((0, 0, 0), 0, 0)
 _P0 = ((0, 0, 0), 1, 0)
 _PM = (((1, 0, 0), 0, 0), ((0, 1, 0), 0, 0), ((0, 0, 1), 0, 0))
 
@@ -292,7 +314,7 @@ def reference_step(gen, poskey, vacuum=False):
     if lam:
         # x^a (x0 - i lam/kappa)^t E_K^lam W Exp[lam]
         ew = w.e_power(lam)
-        for r, coeff in enumerate(binomial_shift(-lam, t)):
+        for r, coeff in binomial_shift(-lam, t):
             pieces.append(((a, r, w), gen, coeff * ew))
     elif d:
         # x^a x0^t W (P_0 + K) - i t x^a x0^(t-1) W
@@ -300,31 +322,31 @@ def reference_step(gen, poskey, vacuum=False):
             pieces.append((poskey, gen, ONE))
         k0 = w.time_scalar()
         if not k0.is_zero():
-            pieces.append((poskey, MOM_UNIT, k0))
+            pieces.append((poskey, mom.KEY_UNIT, k0))
         if t:
-            pieces.append(((a, t - 1, w), MOM_UNIT, ScalarValue.number(-t) * I))
+            pieces.append(((a, t - 1, w), mom.KEY_UNIT, ScalarValue.number(-t) * I))
     else:
         # -i a_m x^(a-e_m) x0^t W + x^a (x0 + i/kappa)^t W (E_K^-1 P_m + q_m)
         m = b.index(1)
         if a[m]:
             na = list(a)
             na[m] -= 1
-            pieces.append(((tuple(na), t, w), MOM_UNIT, ScalarValue.number(-a[m]) * I))
+            pieces.append(((tuple(na), t, w), mom.KEY_UNIT, ScalarValue.number(-a[m]) * I))
         qm = w.spatial[m]
         if not (vacuum and qm.is_zero()):
             ew_inv = w.e_power(-1)
-            for r, coeff in enumerate(binomial_shift(1, t)):
+            for r, coeff in binomial_shift(1, t):
                 if not vacuum:
                     pieces.append(((a, r, w), gen, coeff * ew_inv))
                 if not qm.is_zero():
-                    pieces.append(((a, r, w), MOM_UNIT, coeff * qm))
+                    pieces.append(((a, r, w), mom.KEY_UNIT, coeff * qm))
     return pieces
 
 
 def reference_pass_momentum(momkey, poskey):
     """momkey * poskey normal ordered one generator at a time, every
     remainder kept, as a HeisenbergElement."""
-    terms = {(poskey, MOM_UNIT): ONE}
+    terms = {(poskey, mom.KEY_UNIT): ONE}
     for gen in _generators(momkey):
         out = {}
         for (pos, rem), c in terms.items():
@@ -360,12 +382,12 @@ def merged_position_keys(draw):
 @example(((2, 0, 0), 0, 1), ((1, 0, 0), 3, PlaneWave.label(1)))
 @example(((0, 1, 1), 2, -2), ((0, 2, 1), 1, PlaneWave.label(1) * PlaneWave.label(2)))
 def test_closed_form_passing_matches_the_step_table(mk, k):
-    """`_pass_momentum` and `_act_key`, each one closed expansion, equal the
-    normal form built one generator at a time, and `_act_key` equals the
-    vacuum projection of `_pass_momentum`."""
-    full = HeisenbergElement({(p, m): c for p, m, c in _pass_momentum.__wrapped__(mk, k)})
+    """`_pass_momentum` with and without `vacuum`, each one closed
+    expansion, equals the normal form built one generator at a time, and
+    its `vacuum` expansion equals the vacuum projection of the full one."""
+    full = HeisenbergElement(_pass_momentum.__wrapped__(mk, k, False))
     assert full == reference_pass_momentum(mk, k)
-    acted = PositionElement(dict(_act_key.__wrapped__(mk, k)))
+    acted = PositionElement(_pass_momentum.__wrapped__(mk, k, True))
     assert acted == reference_act_key(mk, k)
     assert acted == _vacuum(full)
 
@@ -517,6 +539,6 @@ def test_trivial_operators_skip_the_contraction(a):
     assert act(zero, a) == _general_act(zero, a)
     fresh_one = ScalarValue.number(1)
     assert fresh_one is not ONE
-    unshared = MomentumElement({MOM_UNIT: fresh_one})
+    unshared = MomentumElement({mom.KEY_UNIT: fresh_one})
     assert act(unshared, a) is not a
     assert act(unshared, a) == a

@@ -55,7 +55,7 @@ def test_report_determinism():
 
 def test_run_config_and_check_record_fields():
     cfg = suites.RunConfig()
-    assert (cfg.seed, cfg.max_degree, cfg.gamma4) == (42, 2, dirac.GAMMA4_ZERO)
+    assert (cfg.seed, cfg.max_degree) == (42, 2)
     assert suites.RunConfig(seed=7).max_degree == 2
     record = suites.CheckRecord("limit", "id", "1.12", "pass")
     assert (record.residual, record.wall_ms) == ("0", 0.0)
@@ -266,12 +266,11 @@ def test_cli_verify_json(tmp_path):
 
 
 def test_cli_verify_gamma4_flag():
-    code, out, _ = run_cli(
+    """`verify` has no `--gamma4` option: the suites fix gamma_4 = 0."""
+    code, out, err = run_cli(
         "verify", "--suite", "limit", "--gamma4", "gamma5:2", "--max-degree", "1",
     )
-    assert code == 0
-    code, _, err = run_cli("verify", "--suite", "limit", "--gamma4", "spin7")
-    assert code == 2 and "gamma4" in err
+    assert code == 2 and not out and "--gamma4" in err
 
 
 def test_package_runs_as_the_cli():
