@@ -29,7 +29,7 @@ from .momentum import (
     f_matrix,
 )
 from .scalars import ONE, ZERO, ScalarValue
-from .terms import IndexedMap, Record, accumulate
+from .terms import IndexedMap, Record
 
 DIM = 4
 
@@ -41,12 +41,8 @@ class Matrix(IndexedMap):
     __slots__ = ()
 
     def __mul__(self, other):
-        out = {}
-        for (r, k), a in self.terms.items():
-            for (k2, c), b in other.terms.items():
-                if k == k2:
-                    accumulate(out, (r, c), a * b)
-        return Matrix(out)
+        return Matrix.collect(((r, c), a * b) for (r, k), a in self.terms.items()
+                              for (k2, c), b in other.terms.items() if k == k2)
 
     def render(self):
         if not self.terms:
@@ -129,12 +125,8 @@ def check_clifford_relations():
 def op_apply(op, psi):
     """Apply a matrix momentum operator to a spinor, an IndexedMap from
     row to position element, via the left action."""
-    out = {}
-    for (r, c), p in op.terms.items():
-        a = psi.terms.get(c)
-        if a is not None:
-            accumulate(out, r, act(p, a))
-    return IndexedMap(out)
+    return IndexedMap.collect((r, act(p, psi.terms[c]))
+                              for (r, c), p in op.terms.items() if c in psi.terms)
 
 
 def _gamma_sum(rep, coeffs):

@@ -22,7 +22,7 @@ from .action import act_derivative, act_f
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5
 from .scalars import I, ScalarValue
-from .terms import IndexedMap, TermMap, accumulate
+from .terms import IndexedMap, TermMap
 
 
 class OneForm(IndexedMap):
@@ -42,14 +42,9 @@ class OneForm(IndexedMap):
 
     def star(self):
         """(a_i tau^i)* = f^i_j(a_i*) tau^j; the tau^i are hermitian."""
-        out = {}
-        for i, a in self.terms.items():
-            astar = a.star()
-            for j in range(5):
-                fb = act_f(i, j, astar)
-                if not fb.is_zero():
-                    accumulate(out, j, fb)
-        return OneForm(out)
+        starred = [(i, a.star()) for i, a in self.terms.items()]
+        return OneForm.collect((j, fb) for i, astar in starred for j in range(5)
+                               if (fb := act_f(i, j, astar)).terms)
 
     def wedge(self, other):
         """(a_i tau^i) ^ (b_j tau^j) = a_i f^i_k(b_j) tau^k ^ tau^j; the
@@ -67,13 +62,9 @@ class OneForm(IndexedMap):
     def exterior_d(self):
         """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0; each
         (j, i) folds into canonical j < i storage with its sign."""
-        out = {}
-        for i, a in self.terms.items():
-            for j in range(5):
-                if j != i:
-                    da = act_derivative(j, a)
-                    accumulate(out, (j, i) if j < i else (i, j), da if j < i else -da)
-        return TwoForm(out)
+        folds = [(j, i, act_derivative(j, a)) for i, a in self.terms.items()
+                 for j in range(5) if j != i]
+        return TwoForm.collect(((j, i), da) if j < i else ((i, j), -da) for j, i, da in folds)
 
     render = TermMap.render  # a ` + ` sum of terms, not a `key: value` list
 
@@ -86,13 +77,6 @@ class TwoForm(TermMap):
     `terms` maps (i, j) to a nonzero PositionElement."""
 
     __slots__ = ()
-
-    def component(self, i, j):
-        if i < j:
-            return self.terms.get((i, j), PositionElement.zero())
-        if i > j:
-            return -self.terms.get((j, i), PositionElement.zero())
-        return PositionElement.zero()
 
     def entries(self, raised=False):
         """{(i, j): F_ij} over both orders of each stored component, (j, i)
@@ -123,17 +107,12 @@ def check_metric_centrality(a):
     component of s^2 a is sum_i METRIC5[i] f^i_l(f^i_k(a)).
     """
     inners = [[act_f(i, k, a) for i in range(5)] for k in range(5)]
-    out = {}
-    for l in range(5):
-        for k in range(5):
-            for i in range(5):
-                inner = inners[k][i]
-                if not inner.is_zero():
-                    outer = act_f(i, l, inner)
-                    if not outer.is_zero():
-                        accumulate(out, (l, k), outer.scale(METRIC5[i]))
+    s2_a = IndexedMap.collect(((l, k), outer.scale(METRIC5[i]))
+                              for l in range(5) for k in range(5)
+                              for i, inner in enumerate(inners[k])
+                              if inner.terms and (outer := act_f(i, l, inner)).terms)
     a_s2 = IndexedMap.collect(((l, l), a.scale(METRIC5[l])) for l in range(5))
-    return IndexedMap(out) - a_s2
+    return s2_a - a_s2
 
 
 def tau4_candidate(c):

@@ -31,39 +31,36 @@ def rand_coeff(rng):
     return COEFFS[rng.randrange(len(COEFFS))]
 
 
+def _rand_exponents(rng, max_degree):
+    """(spatial exponents, time exponent) of a monomial of degree at most
+    `max_degree`, each factor's slot drawn in turn."""
+    spatial, time = [0, 0, 0], 0
+    for _ in range(rng.randint(0, max_degree)):
+        slot = rng.randrange(4)
+        if slot == 0:
+            time += 1
+        else:
+            spatial[slot - 1] += 1
+    return tuple(spatial), time
+
+
 def rand_position(rng, max_degree, n_terms=3, waves=False):
     acc = PositionElement.zero()
     for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
-        a = [0, 0, 0]
-        d = 0
-        for _ in range(deg):
-            slot = rng.randrange(4)
-            if slot == 0:
-                d += 1
-            else:
-                a[slot - 1] += 1
+        a, d = _rand_exponents(rng, max_degree)
         w = W_IDENTITY
         if waves and rng.random() < 0.5:
             w = PlaneWave.label(WAVE_LABELS[rng.randrange(len(WAVE_LABELS))])
-        acc = acc + PositionElement.monomial(tuple(a), d, w, rand_coeff(rng))
+        acc = acc + PositionElement.monomial(a, d, w, rand_coeff(rng))
     return acc
 
 
 def rand_momentum(rng, max_degree, n_terms=3):
     acc = MomentumElement.zero()
     for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
-        b = [0, 0, 0]
-        d = 0
-        for _ in range(deg):
-            slot = rng.randrange(4)
-            if slot == 0:
-                d += 1
-            else:
-                b[slot - 1] += 1
+        b, d = _rand_exponents(rng, max_degree)
         lam = rng.randint(-1, 1)
-        acc = acc + MomentumElement.monomial(tuple(b), d, lam, rand_coeff(rng))
+        acc = acc + MomentumElement.monomial(b, d, lam, rand_coeff(rng))
     return acc
 
 

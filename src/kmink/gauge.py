@@ -38,7 +38,7 @@ from .forms import OneForm, TwoForm
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
-from .terms import IndexedMap, Record, accumulate
+from .terms import IndexedMap, Record
 
 
 class GaugeConfig(Record):
@@ -131,12 +131,10 @@ def field_strength(cfg):
     A = cfg.A
     quad_factor = I * cfg.g
     dA = [[act_derivative(i, A[j]) for j in range(5)] for i in range(5)]
-    out = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            quad = dot((A[k], act_f(k, i, A[j]) - act_f(k, j, A[i])) for k in range(5))
-            accumulate(out, (i, j), dA[i][j] - dA[j][i] + quad.scale(quad_factor))
-    return TwoForm(out)
+    return TwoForm.collect(
+        ((i, j), dA[i][j] - dA[j][i]
+         + dot((A[k], act_f(k, i, A[j]) - act_f(k, j, A[i])) for k in range(5)).scale(quad_factor))
+        for i in range(5) for j in range(i + 1, 5))
 
 
 def curvature_form(cfg):
@@ -198,13 +196,10 @@ def check_f_covariance(cfg, u):
     ustar = u.star()
     u_f = field_strength(cfg).map_coeffs(lambda f: u * f).entries()
     acts = _actions(act_f)
-    rhs = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            accumulate(rhs, (i, j), dot(
-                (ufkl, acts(k, i, acts(l, j, ustar))) for (k, l), ufkl in u_f.items()
-            ))
-    return f_new - TwoForm(rhs)
+    rhs = TwoForm.collect(
+        ((i, j), dot((ufkl, acts(k, i, acts(l, j, ustar))) for (k, l), ufkl in u_f.items()))
+        for i in range(5) for j in range(i + 1, 5))
+    return f_new - rhs
 
 
 # -- covariant derivatives as mixed-word operators ------------------------------
@@ -261,7 +256,7 @@ def divergence(cfg):
     per cfg, like `field_strength`."""
     raised = field_strength(cfg).entries(raised=True)
     acts = _actions(act_f_lowered)
-    out = {}
+    items = []
     for k in range(5):
         column = [(m, raised[m, k]) for m in range(5) if (m, k) in raised]
         acc = PositionElement.zero()
@@ -274,8 +269,8 @@ def divergence(cfg):
             pairs.extend((a_j, act_f(j, m, fmk)) for m, fmk in column)
             # -F^{mn} f_m^j(f_n^k(A_j)), summed as F^{nm} f_m^j(f_n^k(A_j))
             pairs.extend((f_nm, acts(m, j, acts(n, k, a_j))) for (n, m), f_nm in raised.items())
-        accumulate(out, k, acc + dot(pairs).scale(I * cfg.g))
-    return IndexedMap(out)
+        items.append((k, acc + dot(pairs).scale(I * cfg.g)))
+    return IndexedMap.collect(items)
 
 
 def check_divergence_covariance(cfg, u):
@@ -348,14 +343,11 @@ def check_star_collapse(u):
 
 def _classical_mul(a, b):
     """Commutative product of plane-wave-free polynomials: exponents add."""
-    out = {}
-    for (a1, d1, w1), c1 in a.terms.items():
-        for (a2, d2, w2), c2 in b.terms.items():
-            if not (w1.is_identity() and w2.is_identity()):
-                raise ValueError("classical calculus needs polynomial elements")
-            key = ((a1[0] + a2[0], a1[1] + a2[1], a1[2] + a2[2]), d1 + d2, w1)
-            accumulate(out, key, c1 * c2)
-    return PositionElement(out)
+    if a.has_waves() or b.has_waves():
+        raise ValueError("classical calculus needs polynomial elements")
+    return PositionElement.collect(
+        (((a1[0] + a2[0], a1[1] + a2[1], a1[2] + a2[2]), d1 + d2, w1), c1 * c2)
+        for (a1, d1, w1), c1 in a.terms.items() for (a2, d2, _w2), c2 in b.terms.items())
 
 
 def _classical_partial(mu, a):

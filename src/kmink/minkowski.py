@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb
 
 from .scalars import I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, accumulate, normal_form
+from .terms import TensorSquare, TermMap, normal_form
 
 _KAPPA_INV = ScalarValue.kappa(-1)
 IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
@@ -295,11 +295,7 @@ class PositionTensor(TensorSquare):
 
     def left_counit(self):
         """(counit (x) id), landing back in the algebra."""
-        out = {}
-        for (l, r), c in self.terms.items():
-            if l == KEY_UNIT:
-                accumulate(out, r, c)
-        return PositionElement(out)
+        return PositionElement.collect((r, c) for (l, r), c in self.terms.items() if l == KEY_UNIT)
 
     def _render_order(self):
         return sorted(self.terms, key=lambda lr: (_render_key(lr[0]), _render_key(lr[1])))

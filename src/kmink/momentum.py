@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
-from .terms import IndexedMap, TensorSquare, TermMap, accumulate
+from .terms import IndexedMap, TensorSquare, TermMap
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -90,12 +90,9 @@ class MomentumElement(TermMap):
 
     def antipode(self):
         """S(P_0) = -P_0, S(P_m) = -exp(P_0/kappa) P_m, S(exp(l)) = exp(-l)."""
-        out = {}
-        for (b, d, lam), c in self.terms.items():
-            nb = b[0] + b[1] + b[2]
-            sign = -1 if (nb + d) % 2 else 1
-            accumulate(out, (b, d, nb - lam), c * ScalarValue.number(sign))
-        return MomentumElement(out)
+        return MomentumElement.collect(
+            ((b, d, sum(b) - lam), c * ScalarValue.number((-1) ** (sum(b) + d)))
+            for (b, d, lam), c in self.terms.items())
 
     def counit(self):
         """Set P_mu to 0 and exp(lam P_0/kappa) to 1."""
@@ -119,21 +116,19 @@ class MomentumElement(TermMap):
         prefactors in the coefficient, so e.g. kappa^2 sh^2 keeps its
         finite P_0^2 part at order 0.
         """
-        out = {}
+        pairs = []
         for (b, d, lam), c in self.terms.items():
             for key, g in c.kappa_expand(order).terms.items():
-                kap = decode(key)[0]
+                top = decode(key)[0] + order  # powers of P_0/kappa up to top are kept
                 mono = ScalarValue({key: g})
                 if lam == 0:
-                    if kap >= -order:
-                        accumulate(out, (b, d, 0), mono)
+                    if top >= 0:
+                        pairs.append(((b, d, 0), mono))
                     continue
-                for n in range(max(0, kap + order) + 1):
-                    if kap - n < -order:
-                        break
-                    fac = ScalarValue.number(Fraction(lam ** n, factorial(n)))
-                    accumulate(out, (b, d + n, 0), mono * fac * ScalarValue.kappa(-n))
-        return MomentumElement(out)
+                pairs.extend(((b, d + n, 0), mono * ScalarValue.number(
+                    Fraction(lam ** n, factorial(n))) * ScalarValue.kappa(-n))
+                             for n in range(top + 1))
+        return MomentumElement.collect(pairs)
 
     def _factors(self, key):
         b, d, lam = key

@@ -334,7 +334,7 @@ def suite_calculus(cfg, check):
                 rhs = OneForm.basis(nu).scale(-IMK)
             check(f"bimodule-tau{i}-x{nu}", "1.15", lhs - rhs)
 
-    n_pairs = max(12, 100 if cfg.max_degree >= 3 else 20)
+    n_pairs = 100 if cfg.max_degree >= 3 else 20
     for n in range(n_pairs):
         a = fuzz.rand_position(rng, cfg.max_degree, waves=True, n_terms=2)
         b = fuzz.rand_position(rng, cfg.max_degree, waves=True, n_terms=2)

@@ -22,10 +22,12 @@ product, the sum of products `dot`, powers, and the coproduct, the
 algebra map fixed by the generator images.  A `TensorSquare` multiplies
 legwise through its element's
 `mono_mul`.  Sums accumulate in place (sparse accumulation, Monagan and
-Pearce 2010): `contract` keeps one fraction-free `scalars.add_product`
-accumulator per output key and reduces each coefficient once at the end.
-The coefficient ring `scalars.ScalarValue` is a term map too, with
-GaussianRational coefficients and its own product.
+Pearce 2010): `collect` is how any term map is built from (key,
+coefficient) pairs, adding equal keys and dropping zeros, and `contract`
+keeps one fraction-free `scalars.add_product` accumulator per output key
+and reduces each coefficient once at the end.  The coefficient ring
+`scalars.ScalarValue` is a term map too, with GaussianRational
+coefficients and its own product.
 
 Every closed normal form of the engine (a monomial product, a coproduct
 image, a binomial shift, momentum passing, the action) is memoised one
@@ -157,6 +159,14 @@ class TermMap:
     @classmethod
     def one(cls):
         return cls.scalar(scalars.ONE)
+
+    @classmethod
+    def collect(cls, items):
+        """The sum of `(key, coeff)` pairs; zero coefficients drop out."""
+        out = {}
+        for key, c in items:
+            accumulate(out, key, c)
+        return cls(out)
 
     @classmethod
     def _coerce(cls, x):
@@ -351,11 +361,8 @@ class TensorSquare(TermMap):
 
     @classmethod
     def outer(cls, a, b):
-        out = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                accumulate(out, (k1, k2), c1 * c2)
-        return cls(out)
+        return cls.collect(((k1, k2), c1 * c2)
+                           for k1, c1 in a.terms.items() for k2, c2 in b.terms.items())
 
     @classmethod
     def primitive(cls, x):
@@ -388,17 +395,10 @@ class TensorSquare(TermMap):
 
 class IndexedMap(TermMap):
     """Family of nonzero algebra elements or term maps indexed by sortable
-    keys, rendered `key: value; ...`."""
+    keys, rendered `key: value; ...`; built, like any term map, by
+    `TermMap.collect`."""
 
     __slots__ = ()
-
-    @classmethod
-    def collect(cls, items):
-        """The sum of `(key, coeff)` pairs; zero coefficients drop out."""
-        out = {}
-        for key, c in items:
-            accumulate(out, key, c)
-        return cls(out)
 
     def left_mul(self, b):
         """Multiply every entry by `b` from the left."""

@@ -86,8 +86,7 @@ def test_wedge_and_two_forms():
     assert w == TAU[1].wedge(TAU[2])
     # constant right factor passes through: (x^0 tau^0) ^ tau^1 = x^0 tau^0^tau^1
     got = TAU[0].left_mul(X[0]).wedge(TAU[1])
-    assert got.component(0, 1) == X[0]
-    assert got.component(1, 0) == -X[0]
+    assert got.entries() == {(0, 1): X[0], (1, 0): -X[0]}
 
 
 def test_two_form_entries_read_both_orders_and_raise_with_the_metric():
@@ -98,7 +97,7 @@ def test_two_form_entries_read_both_orders_and_raise_with_the_metric():
     low, up = strength.entries(), strength.entries(raised=True)
     assert set(low) == set(up) == {(0, 1), (1, 0), (1, 2), (2, 1)}
     for (i, j), f in low.items():
-        assert f == strength.component(i, j)
+        assert f == (strength.terms[i, j] if i < j else -strength.terms[j, i])
         assert up[i, j] == f.scale(METRIC5[i] * METRIC5[j])
     assert (up[0, 1], up[1, 0], up[1, 2]) == (-f01, f01, f12)
     assert TwoForm().entries(raised=True) == {}

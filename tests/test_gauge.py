@@ -43,12 +43,7 @@ def test_config_checks_and_coerces():
 
 def test_field_strength_examples():
     strength = gauge.field_strength(CFG_LINEAR)
-    assert strength.component(0, 1) == PositionElement.one()
-    assert strength.component(1, 0) == -PositionElement.one()
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if (i, j) != (0, 1):
-                assert strength.component(i, j).is_zero()
+    assert strength.entries() == {(0, 1): PositionElement.one(), (1, 0): -PositionElement.one()}
     assert gauge.field_strength(gauge.GaugeConfig((Z,) * 5)).is_zero()
     const = gauge.GaugeConfig(tuple(PositionElement.scalar(n) for n in range(5)))
     assert gauge.field_strength(const).is_zero()
@@ -69,7 +64,7 @@ def test_curvature_zero_and_classical_components():
     assert gauge.curvature_form(gauge.GaugeConfig((Z,) * 5)).is_zero()
     omega = gauge.curvature_form(CFG_LINEAR)
     extracted = omega.scale(-I)  # i F_ij tau^i ^ tau^j = Omega
-    assert extracted.component(0, 1) == PositionElement.one()
+    assert extracted.entries()[0, 1] == PositionElement.one()
 
 
 def test_gauge_transform_identity():
@@ -331,9 +326,15 @@ def test_strength_memo_tells_charges_apart():
 # Each reference writes the charge out.  The published, charge-free form is
 # the g = 1 case.
 
+def _component(strength, i, j):
+    """The (i, j) component, read from both orders of the stored ones; a
+    missing or diagonal pair is zero."""
+    return strength.entries().get((i, j), Z)
+
+
 def _raised(strength, i, j):
     """The (i, j) component with both indices moved by the 5-metric."""
-    return strength.component(i, j).scale(METRIC5[i] * METRIC5[j])
+    return _component(strength, i, j).scale(METRIC5[i] * METRIC5[j])
 
 
 def reference_invariants(cfg):
@@ -343,7 +344,7 @@ def reference_invariants(cfg):
     c = c_plus = c_minus = Z
     for i in range(5):
         for j in range(5):
-            f_low = strength.component(i, j)
+            f_low = _component(strength, i, j)
             if f_low.is_zero():
                 continue
             c = c + _raised(strength, i, j) * f_low.star()
@@ -436,7 +437,7 @@ def reference_f_covariance_rhs(cfg, u):
             for k in range(5):
                 for l in range(5):
                     acted = act_f(k, i, act_f(l, j, ustar))
-                    value = value + u * f_old.component(k, l) * acted
+                    value = value + u * _component(f_old, k, l) * acted
             if not value.is_zero():
                 out[i, j] = value
     return TwoForm(out)

@@ -100,6 +100,27 @@ def test_equal_values_hash_equal(pair):
     assert hash(rebuilt) == hash(a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(pairs())
+def test_collect_sums_pairs_and_drops_cancelled_keys(pair):
+    """`collect` on every term-map class: the sum of the single-term maps
+    of its (key, coefficient) pairs, repeated keys included; a key whose
+    coefficients cancel drops out; a map's terms followed by their
+    negations collect to zero."""
+    a, b = pair
+    cls = type(a)
+    negated = [(key, -c) for key, c in a.terms.items()]
+    items = [*a.terms.items(), *b.terms.items(), *a.terms.items()]
+    want = cls()
+    for key, c in items:
+        want = want + cls({key: c})
+    got = cls.collect(iter(items))
+    assert type(got) is cls and got.terms == want.terms
+    assert not any(c.is_zero() for c in got.terms.values())
+    assert cls.collect([*a.terms.items(), *b.terms.items(), *negated]).terms == b.terms
+    assert cls.collect([*a.terms.items(), *negated]).terms == {}
+
+
 UNIT_CLASSES = (ScalarValue, PositionElement, MomentumElement, HeisenbergElement)
 
 
