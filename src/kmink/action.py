@@ -107,14 +107,14 @@ def act(p, a):
 
     The vacuum projection of the normal form of p * a: any P power kills
     a term, exponential weights go to 1.  The zero operator gives zero and
-    the unit operator (one unit term whose coefficient is the shared
-    `ONE`) gives `a` itself, both without a contraction: values are
-    immutable, so returning `a` is safe.
+    the unit operator (one unit term whose coefficient equals `ONE`) gives
+    `a` itself, both without a contraction: values are immutable, so
+    returning `a` is safe.
     """
     terms = p.terms
     if not terms:
         return PositionElement()
-    if len(terms) == 1 and terms.get(mom.KEY_UNIT) is ONE:
+    if len(terms) == 1 and terms.get(mom.KEY_UNIT) == ONE:
         return a
     return PositionElement(contract(
         (ca.terms, _act_monomial(p, poskey)) for poskey, ca in a.terms.items()

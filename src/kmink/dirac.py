@@ -29,29 +29,9 @@ from .momentum import (
     f_matrix,
 )
 from .scalars import ONE, ZERO, ScalarValue
-from .terms import IndexedMap, Record
+from .terms import IndexedMap, Matrix, Record
 
 DIM = 4
-
-
-class Matrix(IndexedMap):
-    """4x4 matrix of scalars or momentum elements, keyed by (row, col);
-    rendered as the dense grid with `0` for absent entries."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return Matrix.collect(((r, c), a * b) for (r, k), a in self.terms.items()
-                              for (k2, c), b in other.terms.items() if k == k2)
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        return "\n".join(
-            "[" + ", ".join(self.terms[(r, c)].render() if (r, c) in self.terms else "0"
-                            for c in range(DIM)) + "]"
-            for r in range(DIM)
-        )
 
 
 def _mat(rows):

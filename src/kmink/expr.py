@@ -170,10 +170,11 @@ def _lex(text):
 # recursion limit.
 MAX_DEPTH = 100
 
-# Largest |exponent| that parse accepts.  It caps the number of products a
-# power takes, not its work: a scalar power squares and multiplies (about
-# 2 log2 n products), an element power takes n - 1 products whose
-# coefficients grow with n, so its time grows faster than linearly in n.
+# Largest |exponent| (and |index|) that parse accepts.  It caps the number
+# of products a power takes, not its work: a scalar power squares and
+# multiplies (about 2 log2 n products), an element power takes n - 1
+# products whose coefficients grow with n, so its time grows faster than
+# linearly in n.
 MAX_EXPONENT = 1000
 
 
@@ -240,10 +241,11 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] == "^":
             self.next()
-            return Pow(base, self.signed_int())
+            return Pow(base, self.signed_int("exponents"))
         return base
 
-    def signed_int(self):
+    def signed_int(self, noun):
+        """A signed integer literal; `noun` (plural) names it in errors."""
         neg = False
         if self.peek()[0] == "-":
             self.next()
@@ -251,9 +253,9 @@ class _Parser:
         tok = self.expect("NUM")
         value, imag = tok[1]
         if imag or value.denominator != 1:
-            raise ExprError("exponents must be integers", tok[2])
+            raise ExprError(f"{noun} must be integers", tok[2])
         if abs(value) > MAX_EXPONENT:
-            raise ExprError(f"exponents must be at most {MAX_EXPONENT} in absolute value",
+            raise ExprError(f"{noun} must be at most {MAX_EXPONENT} in absolute value",
                             tok[2])
         return -int(value) if neg else int(value)
 
@@ -292,7 +294,7 @@ class _Parser:
         if name not in _SYMBOLS:
             raise ExprError(f"unknown symbol {name!r}", pos)
         ranges = _SYMBOLS[name][0]
-        args = self.group("[,]", len(ranges), self.signed_int) if ranges else ()
+        args = self.group("[,]", len(ranges), lambda: self.signed_int("indices")) if ranges else ()
         if any(r is not None and a not in r for r, a in zip(ranges, args)):
             raise ExprError(f"index out of range in {name}{list(args)}", pos)
         return Sym(name, args)

@@ -214,12 +214,6 @@ def covariant_derivative_op(cfg, k):
     return HeisenbergElement.from_momentum(derivatives()[k]) + quad
 
 
-def apply_covariant_derivative(cfg, k, a):
-    """nabla_k acting on an algebra element."""
-    quad = dot((A_j, act_f(j, k, a)) for j, A_j in enumerate(cfg.A) if not A_j.is_zero())
-    return act_derivative(k, a) + quad.scale(I * cfg.g)
-
-
 def check_commutator_identity(cfg, i, j):
     """[nabla_i, nabla_j] - i g F_mn f^m_i f^n_j.
 

@@ -15,9 +15,12 @@ comparison.  The product (`key_mul`: exponents add) and these generator
 images are all this module states; the term-map core builds the product,
 sums of products and the coproduct from them.
 
-This module also builds the named constants of the calculus: the 5x5
-f-matrix, the derivatives del[0..4], the vector fields e[0..4] and the
-deformed wave operator `box`, all exact.
+This module also builds the named constants of the calculus, all exact.
+The 5x5 matrix f of tau^i a = f^i_j(a) tau^j is the AN(3) group element in
+bicrossproduct coordinates, built once as a product of matrices; its
+coproduct f (x) f (eq. 1.23) says it is group-like.  The vector fields
+e[0..4] are its column 4, the derivatives del[0..4] its row 4, and the
+deformed wave operator `box` is built from the vector fields.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
-from .terms import IndexedMap, TensorSquare, TermMap
+from .terms import IndexedMap, Matrix, TensorSquare, TermMap
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -191,78 +194,60 @@ def sh():
     return (MomentumElement.exp_weight(1) - MomentumElement.exp_weight(-1)).scale(HALF)
 
 
-def p_squared():
-    """P_1^2 + P_2^2 + P_3^2."""
-    return MomentumElement.dot((MomentumElement.P(m), MomentumElement.P(m)) for m in (1, 2, 3))
+def _diagonal(entries):
+    return Matrix({(i, i): x for i, x in enumerate(entries)})
 
 
-def _u():
-    """(1/2 kappa^2) exp(P_0/kappa) P^2, the recurring quadratic correction."""
-    return (MomentumElement.exp_weight(1) * p_squared()).scale(
-        HALF * ScalarValue.kappa(-2)
-    )
+def _nilpotent():
+    """X = -(1/kappa) sum_m P_m (E_0m - E_4m + E_m0 + E_m4), with X^3 = 0."""
+    inv_k = ScalarValue.kappa(-1)
+    return Matrix.collect(
+        (key, MomentumElement.P(m).scale(sign * inv_k)) for m in (1, 2, 3)
+        for key, sign in (((0, m), -1), ((4, m), 1), ((m, 0), -1), ((m, 4), -1)))
+
+
+@lru_cache(maxsize=1)
+def _group_element():
+    """f as one Matrix: the AN(3) group element in bicrossproduct
+    coordinates, exp(X) exp((P_0/kappa)(E_04 + E_40)).  X is nilpotent, so
+    exp(X) = 1 + X + X^2/2 exactly; the second factor is the ch/sh boost
+    block on (0, 4)."""
+    x, one = _nilpotent(), MomentumElement.one()
+    boost = Matrix({(0, 0): ch(), (0, 4): sh(), (4, 0): sh(), (4, 4): ch(),
+                    **{(m, m): one for m in (1, 2, 3)}})
+    return (_diagonal([one] * 5) + x + (x * x).scale(HALF)) * boost
+
+
+def _rows(matrix):
+    return tuple(tuple(matrix.terms.get((i, j), MomentumElement.zero()) for j in range(5))
+                 for i in range(5))
 
 
 @lru_cache(maxsize=1)
 def f_matrix():
     """The 5x5 matrix of momentum elements governing tau^i a = f^i_j(a) tau^j."""
-    u = _u()
-    C, S = ch(), sh()
-    inv_k = ScalarValue.kappa(-1)
-    e_plus = MomentumElement.exp_weight(1)
-    f = [[MomentumElement.zero() for _ in range(5)] for _ in range(5)]
-    f[0][0] = C + u
-    f[0][4] = S + u
-    f[4][0] = S - u
-    f[4][4] = C - u
-    for m in (1, 2, 3):
-        pm = MomentumElement.P(m)
-        f[0][m] = pm.scale(-inv_k)
-        f[m][0] = (e_plus * pm).scale(-inv_k)
-        f[m][m] = MomentumElement.one()
-        f[m][4] = (e_plus * pm).scale(-inv_k)
-        f[4][m] = pm.scale(inv_k)
-    return tuple(tuple(row) for row in f)
+    return _rows(_group_element())
 
 
 @lru_cache(maxsize=1)
 def f_lowered():
-    """f_i^j = g_ii g^jj f^i_j (diagonal 5-metric, no sum)."""
-    f = f_matrix()
-    return tuple(
-        tuple(
-            f[i][j].scale(METRIC5[i] * METRIC5[j]) for j in range(5)
-        )
-        for i in range(5)
-    )
+    """f_i^j = g_ii g^jj f^i_j, the product g f g with g = diag(METRIC5)."""
+    g = _diagonal([MomentumElement.scalar(s) for s in METRIC5])
+    return _rows(g * _group_element() * g)
 
 
 @lru_cache(maxsize=1)
 def derivatives():
-    """del[0..4]: del_0 = i kappa f^4_0, del_m = i kappa f^4_m,
-    del_4 = i kappa (f^4_4 - 1)."""
-    f = f_matrix()
+    """del[0..4], row 4 of f: del_i = i kappa (f^4_i - delta^4_i)."""
     ik = I * ScalarValue.kappa(1)
-    d = [f[4][0].scale(ik)]
-    d += [f[4][m].scale(ik) for m in (1, 2, 3)]
-    d.append((f[4][4] - MomentumElement.one()).scale(ik))
-    return tuple(d)
+    return tuple((f - kronecker(4, i)).scale(ik) for i, f in enumerate(f_matrix()[4]))
 
 
 @lru_cache(maxsize=1)
 def vector_fields():
-    """e[0..4], the covariant vector fields:
-
-        e^0 = i kappa (sh + u),  e^m = -i exp(P_0/kappa) P_m,
-        e^4 = i kappa (ch - u).
-    """
-    u = _u()
+    """e[0..4], the covariant vector fields, column 4 of f: e^A = i kappa f^A_4."""
     ik = I * ScalarValue.kappa(1)
-    e_plus = MomentumElement.exp_weight(1)
-    out = [(sh() + u).scale(ik)]
-    out += [(e_plus * MomentumElement.P(m)).scale(-I) for m in (1, 2, 3)]
-    out.append((ch() - u).scale(ik))
-    return tuple(out)
+    return tuple(row[4].scale(ik) for row in f_matrix())
 
 
 @lru_cache(maxsize=1)

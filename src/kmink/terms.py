@@ -37,8 +37,9 @@ coefficient is stored once however many entries hold it.
 
 An `IndexedMap` is the same container over plain index keys (a row, a
 `(row, col)` pair, a name) whose coefficients are algebra elements or
-term maps: one-forms, spinors, 4x4 operators and families of residuals.
-It has no product.
+term maps: one-forms, spinors and families of residuals.  It has no
+product.  A `Matrix` is an IndexedMap over (row, col) keys with the
+matrix product: the gamma matrices, Dirac operators and `f`.
 
 A `Record` is the small value type for everything that is not a sum of
 terms: expression nodes, gamma-matrix choices, gauge configurations and
@@ -409,6 +410,29 @@ class IndexedMap(TermMap):
             return "0"
         return "; ".join(f"{key}: {self.terms[key].render()}"
                          for key in self._render_order())
+
+
+class Matrix(IndexedMap):
+    """Square matrix of scalars or momentum elements, keyed by (row, col):
+    the 4x4 gamma and Dirac matrices and the 5x5 `f`.  Its side is one
+    more than its largest index, and it renders as the dense grid with
+    `0` for absent entries."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return Matrix.collect(((r, c), a * b) for (r, k), a in self.terms.items()
+                              for (k2, c), b in other.terms.items() if k == k2)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        side = 1 + max(max(key) for key in self.terms)
+        return "\n".join(
+            "[" + ", ".join(self.terms[(r, c)].render() if (r, c) in self.terms else "0"
+                            for c in range(side)) + "]"
+            for r in range(side)
+        )
 
 
 class Record:

@@ -8,7 +8,7 @@ from kmink.action import act_f
 from kmink.fuzz import rand_position, rand_spinor
 from kmink.minkowski import PositionElement
 from kmink.scalars import ScalarValue
-from kmink.terms import IndexedMap
+from kmink.terms import IndexedMap, Matrix
 
 X = [PositionElement.x(mu) for mu in range(4)]
 REP_ZERO = dirac.GAMMA4_ZERO
@@ -76,7 +76,7 @@ def test_clifford_image_counit_action():
 def test_clifford_image_no_gamma4_term_when_zero():
     img = dirac.clifford_image(4, REP_ZERO)
     f = mom.f_matrix()
-    want = dirac.Matrix()
+    want = Matrix()
     for j in range(4):
         want = want + dirac.op_from_matrix(REP_ZERO.gammas[j], f[4][j])
     assert (img - want).is_zero()

@@ -7,10 +7,23 @@ from kmink import momentum as mom
 from kmink.fuzz import rand_momentum
 from kmink.momentum import MomentumElement, MomentumTensor
 from kmink.scalars import ScalarValue
+from kmink.terms import Matrix
 
 P = [MomentumElement.P(mu) for mu in range(4)]
 ONE = MomentumElement.one()
 I = ScalarValue.number(0, 1)
+
+
+def p_squared():
+    """P_1^2 + P_2^2 + P_3^2."""
+    return MomentumElement.dot((P[m], P[m]) for m in (1, 2, 3))
+
+
+def u_correction():
+    """(1/2 kappa^2) exp(P_0/kappa) P^2, the quadratic correction of the
+    published table."""
+    return (MomentumElement.exp_weight(1) * p_squared()).scale(
+        ScalarValue.number(Fraction(1, 2)) * ScalarValue.kappa(-2))
 
 
 def test_commutativity():
@@ -81,9 +94,7 @@ def test_f_matrix_closed_forms():
     f = mom.f_matrix()
     ch, sh = mom.ch(), mom.sh()
     e_plus = MomentumElement.exp_weight(1)
-    u = (e_plus * mom.p_squared()).scale(
-        ScalarValue.number(Fraction(1, 2)) * ScalarValue.kappa(-2)
-    )
+    u = u_correction()
     assert f[0][0] == ch + u
     assert f[4][4] == ch - u
     assert f[0][4] == sh + u
@@ -111,11 +122,19 @@ def test_box_identities():
     assert all(r[2].is_zero() for r in records)
 
 
+def test_group_element_series_is_exact():
+    x = mom._nilpotent()
+    assert isinstance(x, Matrix)
+    assert not (x * x).is_zero()
+    assert x * x * x == Matrix()
+
+
 def test_derivatives_from_f():
     f = mom.f_matrix()
     d = mom.derivatives()
     ik = I * ScalarValue.kappa(1)
     assert d[0] == f[4][0].scale(ik)
+    assert d[0] == (mom.sh() - u_correction()).scale(ik)
     for m in (1, 2, 3):
         assert d[m] == f[4][m].scale(ik)
         assert d[m] == P[m].scale(I)
@@ -129,6 +148,8 @@ def test_vector_fields_from_f():
     for i in range(4):
         assert e[i] == f[i][4].scale(ik)
     assert e[4] == f[4][4].scale(ik)
+    assert e[0] == (mom.sh() + u_correction()).scale(ik)
+    assert e[4] == (mom.ch() - u_correction()).scale(ik)
     e_plus = MomentumElement.exp_weight(1)
     for m in (1, 2, 3):
         assert e[m] == (e_plus * P[m]).scale(-I)
@@ -136,7 +157,7 @@ def test_vector_fields_from_f():
 
 def test_box_kappa_limit():
     limit = mom.box().kappa_expand(0)
-    want = mom.p_squared() - P[0] * P[0]
+    want = p_squared() - P[0] * P[0]
     assert limit == want
 
 

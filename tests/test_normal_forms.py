@@ -530,8 +530,9 @@ def _general_act(p, a):
 @given(rich_positions())
 def test_trivial_operators_skip_the_contraction(a):
     """The unit operator returns its operand itself and the zero operator
-    gives zero; both agree with the general route, as does a unit operator
-    whose coefficient is an equal but unshared one."""
+    gives zero; both agree with the general route.  A unit operator whose
+    coefficient is an equal but unshared one (as a derived f^m_m is) takes
+    the same shortcut."""
     unit, zero = MomentumElement.one(), MomentumElement()
     assert act(unit, a) is a
     assert act(unit, a) == _general_act(unit, a)
@@ -540,5 +541,6 @@ def test_trivial_operators_skip_the_contraction(a):
     fresh_one = ScalarValue.number(1)
     assert fresh_one is not ONE
     unshared = MomentumElement({mom.KEY_UNIT: fresh_one})
-    assert act(unshared, a) is not a
+    assert act(unshared, a) is a
     assert act(unshared, a) == a
+    assert act(unshared, a) == _general_act(unshared, a)

@@ -209,6 +209,12 @@ def test_cli_parse_eval_and_errors():
     for text in ("x0^1000000000", "kappa^1000000000", "kappa^-1001"):
         code, _, err = run_cli("eval", text)
         assert code == 2 and "at most 1000" in err
+    # a bad symbol index is named as an index, not as an exponent
+    for text, want in (("del[2i]", "indices must be integers"),
+                       ("f[1/2,0]", "indices must be integers"),
+                       ("e[99999999999999999999]", "indices must be at most 1000")):
+        code, _, err = run_cli("eval", text)
+        assert code == 2 and want in err and "exponent" not in err
     # a number literal past the printable digit count is a positioned parse error
     code, _, err = run_cli("parse", "1" * (MAX_DIGITS + 700))
     assert code == 2 and f"more than {MAX_DIGITS} digits" in err and "column 1" in err

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmink import dirac
+from kmink import dirac, momentum
 from kmink.action import HeisenbergElement, word
 from kmink.fuzz import rand_coeff, rand_momentum, rand_oneform, rand_position, rand_spinor
 from kmink.minkowski import PositionElement, PositionTensor
 from kmink.momentum import MomentumElement, MomentumTensor
 from kmink.scalars import ONE, ScalarValue
-from kmink.terms import Record
+from kmink.terms import Matrix, Record
 
 
 def _scalar(rng):
@@ -274,3 +274,15 @@ def test_a_record_has_one_mode():
             __slots__ = ("value",)
     with pytest.raises(AttributeError):
         _Cell(1).value = 2
+
+
+def test_a_matrix_renders_its_own_side():
+    """A Matrix's side is one more than its largest index: gamma5 renders
+    as a 4x4 grid and f as a 5x5 one, absent entries as 0."""
+    f = momentum.f_matrix()
+    five = Matrix.collect(((i, j), f[i][j]) for i in range(5) for j in range(5))
+    for matrix, side in ((dirac.GAMMA5, 4), (five, 5)):
+        rows = [row[1:-1].split(", ") for row in matrix.render().split("\n")]
+        assert [len(row) for row in rows] == [side] * side
+    assert rows[1][1:4] == ["1", "0", "0"]
+    assert Matrix().render() == "0"
