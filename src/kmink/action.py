@@ -191,14 +191,6 @@ class HeisenbergElement(TermMap):
         other = HeisenbergElement.coerce(other)
         return self * other - other * self
 
-    def apply(self, a):
-        """Evaluate the word as an operator on a position element."""
-        acc = PositionElement()
-        for (p, m), c in self.terms.items():
-            acted = act(mom.MomentumElement({m: ONE}), a)
-            acc = acc + (PositionElement({p: ONE}) * acted).scale(c)
-        return acc
-
     def _render_order(self):
         return sorted(
             self.terms, key=lambda k: (k[0][0], k[0][1], k[0][2].render(), k[1])

@@ -68,10 +68,15 @@ def _load_gauge_config(path):
     return gauge.read_config_text(text)
 
 
-def _nonnegative_int(text):
+# The largest `verify --max-degree`; the fuzzed work grows steeply past it.
+MAX_DEGREE = 8
+
+
+def _degree(text):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if not 0 <= value <= MAX_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"must be nonnegative and at most {MAX_DEGREE}, got {value}")
     return value
 
 
@@ -128,7 +133,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=list(suites.SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-degree", type=_nonnegative_int, default=2)
+    p.add_argument("--max-degree", type=_degree, default=2)
     p.add_argument("--json", default=None, help="write line-delimited records here")
     p.set_defaults(func=_cmd_verify)
 

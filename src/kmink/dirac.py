@@ -17,8 +17,6 @@ that variant is reported, not asserted.)
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .action import act, act_derivative
 from .minkowski import dot
 from .momentum import (
@@ -29,7 +27,7 @@ from .momentum import (
     f_matrix,
 )
 from .scalars import ONE, ZERO, ScalarValue
-from .terms import IndexedMap, Matrix, Record
+from .terms import IndexedMap, Matrix, Record, memo
 
 DIM = 4
 
@@ -117,14 +115,14 @@ def _gamma_sum(rep, coeffs):
     return out
 
 
-@lru_cache(maxsize=16)
+@memo
 def build_dirac(rep):
     """D = gamma^0 del_0 + .. + gamma^3 del_3 + gamma_4 del_4, built once
     per representation."""
     return _gamma_sum(rep, derivatives())
 
 
-@lru_cache(maxsize=64)
+@memo
 def clifford_image(i, rep):
     """tau^i_c = gamma^j f^i_j, the matrix operator representing tau^i,
     built once per (i, representation)."""

@@ -21,24 +21,20 @@ per output component, with factors shared by all terms (U F_kl, U
 nabla_m F^{mn}) multiplied once outside the index loops.  A strength is
 read through `TwoForm.entries`, both orders of its stored i < j
 components, lowered or raised, so each is multiplied by U or starred
-once.  The nested f-actions f^i_k(f^j_l(X)) of one
-construction share one table (`_actions`), so each action is computed
-once per construction; the table is keyed by the operand's value, and the
-unit f-entries hand back their operand (`action.act`), so f^i_k(f^m_m(X))
-reuses f^i_k(X).  The mixed-word sums of the covariant derivative and its
-commutator identity are one `HeisenbergElement.dot` each.
+once.  Each construction keeps its nested f-actions f^i_k(f^j_l(X)) in
+a `terms.memo` of its own, which goes with it.  The mixed-word sums of the
+covariant derivative and its commutator identity are one
+`HeisenbergElement.dot` each.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
 from .forms import OneForm, TwoForm
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
-from .terms import IndexedMap, Record
+from .terms import IndexedMap, Record, memo
 
 
 class GaugeConfig(Record):
@@ -121,7 +117,7 @@ def render_strength(strength):
     )
 
 
-@lru_cache(maxsize=64)
+@memo
 def field_strength(cfg):
     """F_ij = del_i(A_j) - del_j(A_i) + i g A_k [f^k_i(A_j) - f^k_j(A_i)].
 
@@ -154,7 +150,7 @@ def curvature_cross_check(cfg):
     return omega_f - field_strength(cfg), omega_f - field_strength(GaugeConfig(cfg.A))
 
 
-@lru_cache(maxsize=64)
+@memo
 def gauge_transform(cfg, u):
     """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*).  Memoised per (cfg, u)."""
     _require_unitary(u)
@@ -172,30 +168,12 @@ def gauge_transform(cfg, u):
     return GaugeConfig(tuple(new_A), cfg.g)
 
 
-def _actions(act):
-    """`act` (`act_f` or `act_f_lowered`) for the length of one construction,
-    each action computed once: memoised by (i, j, a), as values are immutable
-    and cache their hash.  A zero `a` is its own image.  The table goes when
-    the construction drops the returned function."""
-    table = {}
-
-    def acts(i, j, a):
-        if not a.terms:
-            return a
-        out = table.get((i, j, a))
-        if out is None:
-            out = table[i, j, a] = act(i, j, a)
-        return out
-
-    return acts
-
-
 def check_f_covariance(cfg, u):
     """Residual TwoForm of F~_ij = U F_kl f^k_i(f^l_j(U*))."""
     f_new = field_strength(gauge_transform(cfg, u))
     ustar = u.star()
     u_f = field_strength(cfg).map_coeffs(lambda f: u * f).entries()
-    acts = _actions(act_f)
+    acts = memo(act_f)
     rhs = TwoForm.collect(
         ((i, j), dot((ufkl, acts(k, i, acts(l, j, ustar))) for (k, l), ufkl in u_f.items()))
         for i in range(5) for j in range(i + 1, 5))
@@ -243,13 +221,13 @@ def check_bianchi(cfg, i, j, k):
 # -- divergence and invariants ---------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@memo
 def divergence(cfg):
     """nabla_m F^{mk} = del_m F^{mk} + i g (A_j f^j_m(F^{mk})
     - F^{mn} f_m^j(f_n^k(A_j))), as an IndexedMap keyed by k.  Memoised
     per cfg, like `field_strength`."""
     raised = field_strength(cfg).entries(raised=True)
-    acts = _actions(act_f_lowered)
+    acts = memo(act_f_lowered)
     items = []
     for k in range(5):
         column = [(m, raised[m, k]) for m in range(5) if (m, k) in raised]
@@ -278,7 +256,7 @@ def check_divergence_covariance(cfg, u):
     return div_new - rhs
 
 
-@lru_cache(maxsize=64)
+@memo
 def invariants(cfg):
     """C = F^{ij} F*_ij, C_+ = F_ij f^i_k(f^j_l(F^{kl})),
     C_- = f^i_k(f^j_l(F*_ij)) F^{kl}*.  Memoised per cfg, like
@@ -287,7 +265,7 @@ def invariants(cfg):
     starred = strength.map_coeffs(lambda f: f.star())  # each stored F_ij once
     low, up = strength.entries(), strength.entries(raised=True)
     low_star, up_star = starred.entries(), starred.entries(raised=True)
-    acts = _actions(act_f)
+    acts = memo(act_f)
     plus, minus = [], []
     for (i, j), f_low in low.items():
         for (k, l), fkl_up in up.items():
@@ -311,7 +289,7 @@ def check_invariant_covariance(cfg, u):
 
 def _nested_f_lowered(a):
     """Table of f_k^i(f_l^j(a)), keyed by (k, l, i, j)."""
-    acts = _actions(act_f_lowered)
+    acts = memo(act_f_lowered)
     return {(k, l, i, j): acts(k, i, acts(l, j, a))
             for k in range(5) for l in range(5) for i in range(5) for j in range(5)}
 

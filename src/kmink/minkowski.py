@@ -32,7 +32,8 @@ per value.  No infinite series ever appears.
 `PositionElement.mono_mul` is that normal form; the product, `dot` (many
 products sum x * y) and the coproduct come from it and the generator
 images through the term-map core.  It and its parts, `binomial_shift` and
-`_drift`, are memoised by the one policy of the core, `terms.normal_form`.
+`_drift`, are memoised by the one policy of the core, `terms.normal_form`,
+and the star of each wave by `terms.memo`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from math import comb
 
 from .scalars import I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, normal_form
+from .terms import TensorSquare, TermMap, memo, normal_form
 
 _KAPPA_INV = ScalarValue.kappa(-1)
 IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
@@ -48,10 +49,8 @@ IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
 _ZSPATIAL = (ZERO, ZERO, ZERO)
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# Every plane wave built so far, keyed by its normalised (spatial, time),
-# and the star of each wave starred so far, keyed by the wave.
+# Every plane wave built so far, keyed by its normalised (spatial, time).
 _WAVES = {}
-_STARS = {}
 
 
 class PlaneWave:
@@ -119,14 +118,11 @@ class PlaneWave:
             tuple((j, -n) for j, n in self.time),
         )
 
+    @memo
     def star(self):
         """W(q, K)* = W(q*, K)^-1, with E and k symbols real; formed once
-        per wave (waves are interned, so `_STARS` keys them by identity)."""
-        star = _STARS.get(self)
-        if star is None:
-            star = _STARS[self] = PlaneWave(
-                tuple(s.conj() for s in self.spatial), self.time).inverse()
-        return star
+        per wave (waves are interned, so the memo keys them by identity)."""
+        return PlaneWave(tuple(s.conj() for s in self.spatial), self.time).inverse()
 
     def render(self):
         if self.is_identity():
@@ -144,7 +140,6 @@ class PlaneWave:
 
 
 W_IDENTITY = PlaneWave()
-_STARS[W_IDENTITY] = W_IDENTITY
 KEY_UNIT = ((0, 0, 0), 0, W_IDENTITY)
 
 

@@ -26,11 +26,10 @@ deformed wave operator `box` is built from the vector fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
-from .terms import IndexedMap, Matrix, TensorSquare, TermMap
+from .terms import IndexedMap, Matrix, TensorSquare, TermMap, memo
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -206,7 +205,7 @@ def _nilpotent():
         for key, sign in (((0, m), -1), ((4, m), 1), ((m, 0), -1), ((m, 4), -1)))
 
 
-@lru_cache(maxsize=1)
+@memo
 def _group_element():
     """f as one Matrix: the AN(3) group element in bicrossproduct
     coordinates, exp(X) exp((P_0/kappa)(E_04 + E_40)).  X is nilpotent, so
@@ -223,34 +222,34 @@ def _rows(matrix):
                  for i in range(5))
 
 
-@lru_cache(maxsize=1)
+@memo
 def f_matrix():
     """The 5x5 matrix of momentum elements governing tau^i a = f^i_j(a) tau^j."""
     return _rows(_group_element())
 
 
-@lru_cache(maxsize=1)
+@memo
 def f_lowered():
     """f_i^j = g_ii g^jj f^i_j, the product g f g with g = diag(METRIC5)."""
     g = _diagonal([MomentumElement.scalar(s) for s in METRIC5])
     return _rows(g * _group_element() * g)
 
 
-@lru_cache(maxsize=1)
+@memo
 def derivatives():
     """del[0..4], row 4 of f: del_i = i kappa (f^4_i - delta^4_i)."""
     ik = I * ScalarValue.kappa(1)
     return tuple((f - kronecker(4, i)).scale(ik) for i, f in enumerate(f_matrix()[4]))
 
 
-@lru_cache(maxsize=1)
+@memo
 def vector_fields():
     """e[0..4], the covariant vector fields, column 4 of f: e^A = i kappa f^A_4."""
     ik = I * ScalarValue.kappa(1)
     return tuple(row[4].scale(ik) for row in f_matrix())
 
 
-@lru_cache(maxsize=1)
+@memo
 def box():
     """The deformed massless wave operator g^{mu nu} e_mu e_nu (4d sum)."""
     e = vector_fields()

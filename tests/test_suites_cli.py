@@ -187,8 +187,11 @@ def test_cli_parse_eval_and_errors():
     assert code == 2 and "zero denominator" in err
     code, _, err = run_cli("eval", "(" * 3000 + "x0" + ")" * 3000)
     assert code == 2 and "nested deeper" in err
-    code, _, err = run_cli("verify", "--suite", "limit", "--max-degree", "-3")
-    assert code == 2 and "nonnegative" in err
+    for degree in ("-3", "9", "1000000"):
+        code, _, err = run_cli("verify", "--suite", "limit", "--max-degree", degree)
+        assert code == 2 and "nonnegative and at most 8" in err, degree
+    code, out, _ = run_cli("verify", "--suite", "limit", "--max-degree", "8")
+    assert code == 0 and "0 failed" in out
     code, _, err = run_cli("verify", "--suite", "limit", "--json", "/nonexistent/dir/x.jsonl")
     assert code == 2 and "cannot write" in err
     for n in (1000, 3000):
