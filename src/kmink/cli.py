@@ -19,6 +19,7 @@ import sys
 from . import suites
 from .expr import EvalError, evaluate, parse as parse_expr, render
 from .minkowski import PositionElement
+from .scalars import ScalarValue
 
 # The engine's values are acyclic, so reference counting frees them and the
 # cyclic collector, which `main` switches off while a command runs, would
@@ -82,6 +83,8 @@ def _degree(text):
 
 def _eval_unitary(text):
     value = evaluate(parse_expr(text))
+    if isinstance(value, ScalarValue):  # a constant phase, lifted as `A0 = 1` is
+        value = PositionElement.scalar(value)
     if not isinstance(value, PositionElement):
         raise EvalError("the unitary must be a position expression")
     return value

@@ -29,11 +29,12 @@ bicrossproduct (Majid and Ruegg, Phys. Lett. B 334 (1994) 348)
 S_q = exp(i q.x) and T_K = exp(i K x^0); a wave is interned, one instance
 per value.  No infinite series ever appears.
 
-`PositionElement.mono_mul` is that normal form; the product, `dot` (many
-products sum x * y) and the coproduct come from it and the generator
-images through the term-map core.  It and its parts, `binomial_shift` and
-`_drift`, are memoised by the one policy of the core, `terms.normal_form`,
-and the star of each wave by `terms.memo`.
+As a `terms.HopfAlgebra` the algebra states only data: that normal form
+(`mono_mul`), the generators x^1, x^2, x^3, x^0 (each primitive, with
+antipode -x^mu), the letter `x`, and a wave's `inverse`, `star` and
+`render` as its label hooks; the term-map core builds the rest.  The
+normal form and its parts `binomial_shift` and `_drift` are memoised by
+`terms.normal_form`, and the star of each wave by `terms.memo`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from math import comb
 
 from .scalars import I, ONE, ZERO, ScalarValue
-from .terms import TensorSquare, TermMap, memo, normal_form
+from .terms import HopfAlgebra, TensorSquare, TermMap, memo, normal_form
 
 _KAPPA_INV = ScalarValue.kappa(-1)
 IMK = I * _KAPPA_INV  # i/kappa, the structure constant of the algebra
@@ -190,12 +191,16 @@ def _mono_mul(key1, key2):
             for (e, r, _w), c in poly.items()}
 
 
-class PositionElement(TermMap):
+class PositionElement(HopfAlgebra):
     """Normal-ordered element of the kappa-Minkowski algebra."""
 
     __slots__ = ()
 
     UNIT = KEY_UNIT
+    LETTER = "x"
+    LABEL_INVERSE = staticmethod(PlaneWave.inverse)
+    LABEL_STAR = staticmethod(PlaneWave.star)
+    LABEL_TEXT = staticmethod(PlaneWave.render)
 
     mono_mul = staticmethod(_mono_mul)
 
@@ -213,41 +218,12 @@ class PositionElement(TermMap):
     def wave(w):
         return PositionElement({((0, 0, 0), 0, w): ONE})
 
-    @staticmethod
-    def monomial(a, d, w, coeff=ONE):
-        coeff = ScalarValue._coerce(coeff)
-        if coeff.is_zero():
-            return PositionElement()
-        return PositionElement({(tuple(a), d, w): coeff})
-
     # -- algebra -------------------------------------------------------------
 
     # The core's product, defined on this class because benchmarks/traced.py
     # times the position product under the name `PositionElement.__mul__`.
     def __mul__(self, other):
         return TermMap.__mul__(self, other)
-
-    def _reverse_factors(self, image):
-        """The antimultiplicative map sending each term c x^a x0^d W to
-        c' W' x0^d x^a, with (W', c') = image(a, d, W, c): x^mu goes to
-        itself, up to the sign that `image` puts in c'."""
-        return PositionElement.dot(
-            (PositionElement({((0, 0, 0), 0, w2): c2}),
-             PositionElement(dict(_mono_mul(((0, 0, 0), d, W_IDENTITY), (a, 0, W_IDENTITY)))))
-            for (a, d, w), c in self.terms.items() for w2, c2 in [image(a, d, w, c)])
-
-    def star(self):
-        """Antilinear antihomomorphism fixing the generators x^mu."""
-        return self._reverse_factors(lambda a, d, w, c: (w.star(), c.conj()))
-
-    def antipode(self):
-        """S(x^mu) = -x^mu extended antimultiplicatively; S(W) = W^-1."""
-        return self._reverse_factors(lambda a, d, w, c: (
-            w.inverse(), c * ScalarValue.number(-1 if (sum(a) + d) % 2 else 1)))
-
-    def counit(self):
-        """Coefficient of the identity monomial with trivial plane wave."""
-        return self.terms.get(KEY_UNIT, ZERO)
 
     # -- inspection ----------------------------------------------------------
 
@@ -256,22 +232,6 @@ class PositionElement(TermMap):
 
     def _render_order(self):
         return sorted(self.terms, key=_render_key)
-
-    def _factors(self, key):
-        a, d, w = key
-        factors = []
-        for m in (1, 2, 3):
-            if a[m - 1] == 1:
-                factors.append(f"x{m}")
-            elif a[m - 1]:
-                factors.append(f"x{m}^{a[m-1]}")
-        if d == 1:
-            factors.append("x0")
-        elif d:
-            factors.append(f"x0^{d}")
-        if not w.is_identity():
-            factors.append(w.render())
-        return factors
 
 
 def _render_key(key):
@@ -288,16 +248,14 @@ class PositionTensor(TensorSquare):
     ELEMENT = PositionElement
     UNIT = (KEY_UNIT, KEY_UNIT)
 
-    def left_counit(self):
-        """(counit (x) id), landing back in the algebra."""
-        return PositionElement.collect((r, c) for (l, r), c in self.terms.items() if l == KEY_UNIT)
-
     def _render_order(self):
         return sorted(self.terms, key=lambda lr: (_render_key(lr[0]), _render_key(lr[1])))
 
 
 PositionElement.TENSOR = PositionTensor
 dot = PositionElement.dot
-# The coproduct images of x^1, x^2, x^3 and x^0, all primitive.
-PositionElement.GENERATOR_IMAGES = tuple(PositionTensor.primitive(PositionElement.x(mu))
-                                         for mu in (1, 2, 3, 0))
+# x^1, x^2, x^3 and x^0: all primitive, with S(x^mu) = -x^mu.
+PositionElement.GENERATORS = tuple(PositionElement.x(mu) for mu in (1, 2, 3, 0))
+PositionElement.GENERATOR_IMAGES = tuple(map(PositionTensor.primitive,
+                                             PositionElement.GENERATORS))
+PositionElement.GENERATOR_ANTIPODES = tuple(-x for x in PositionElement.GENERATORS)

@@ -11,9 +11,11 @@ with integer weight lam.  The coproduct is deformed,
 
 and the hyperbolic functions of P_0/kappa are always stored expanded in
 the weight basis, never as atomic functions, so equality is term-map
-comparison.  The product (`key_mul`: exponents add) and these generator
-images are all this module states; the term-map core builds the product,
-sums of products and the coproduct from them.
+comparison.  As a `terms.HopfAlgebra` it states only data: the product
+(`key_mul`: exponents add), the generators P_1, P_2, P_3, P_0, these
+images, the antipodes S(P_m) = -exp(P_0/kappa) P_m and S(P_0) = -P_0, the
+letter `P`, and its label hooks (lam inverts to -lam, is its own star and
+reads `Exp[lam]`); the term-map core builds the rest.
 
 This module also builds the named constants of the calculus, all exact.
 The 5x5 matrix f of tau^i a = f^i_j(a) tau^j is the AN(3) group element in
@@ -28,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import HALF, I, ONE, ZERO, ScalarValue, decode
-from .terms import IndexedMap, Matrix, TensorSquare, TermMap, memo
+from .scalars import HALF, I, ONE, ScalarValue, decode
+from .terms import HopfAlgebra, Matrix, TensorSquare, TermMap, memo
 
 # The five-dimensional metric diag(1,-1,-1,-1,-1); g_44 = -1 is fixed here
 # and every index-lowering site uses this single table.
@@ -44,12 +46,16 @@ def key_mul(m1, m2):
     return (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2]), d1 + d2, l1 + l2
 
 
-class MomentumElement(TermMap):
+class MomentumElement(HopfAlgebra):
     """Element of the commutative momentum algebra."""
 
     __slots__ = ()
 
     UNIT = KEY_UNIT
+    LETTER = "P"
+    LABEL_INVERSE = staticmethod(lambda lam: -lam)
+    LABEL_STAR = staticmethod(lambda lam: lam)  # exp(lam P_0/kappa) is hermitian
+    LABEL_TEXT = staticmethod("Exp[{}]".format)
 
     # -- constructors ------------------------------------------------------
 
@@ -68,13 +74,6 @@ class MomentumElement(TermMap):
         """exp(lam * P_0 / kappa)."""
         return MomentumElement({((0, 0, 0), 0, lam): ONE})
 
-    @staticmethod
-    def monomial(b, d, lam, coeff=ONE):
-        coeff = ScalarValue._coerce(coeff)
-        if coeff.is_zero():
-            return MomentumElement()
-        return MomentumElement({(tuple(b), d, lam): coeff})
-
     # -- ring --------------------------------------------------------------
 
     @staticmethod
@@ -88,27 +87,9 @@ class MomentumElement(TermMap):
         return TermMap.__mul__(self, other)
 
     def coproduct(self):
-        return TermMap.coproduct(self)
+        return HopfAlgebra.coproduct(self)
 
-    def antipode(self):
-        """S(P_0) = -P_0, S(P_m) = -exp(P_0/kappa) P_m, S(exp(l)) = exp(-l)."""
-        return MomentumElement.collect(
-            ((b, d, sum(b) - lam), c * ScalarValue.number((-1) ** (sum(b) + d)))
-            for (b, d, lam), c in self.terms.items())
-
-    def counit(self):
-        """Set P_mu to 0 and exp(lam P_0/kappa) to 1."""
-        acc = ZERO
-        for (b, d, _lam), c in self.terms.items():
-            if b == (0, 0, 0) and d == 0:
-                acc = acc + c
-        return acc
-
-    def star(self):
-        """P_mu and exp(lam P_0/kappa) are hermitian; conjugate coefficients."""
-        return MomentumElement({k: c.conj() for k, c in self.terms.items()})
-
-    # -- expansion and inspection ------------------------------------------
+    # -- expansion ---------------------------------------------------------
 
     def kappa_expand(self, order):
         """Expand exp(lam P_0/kappa) in powers of P_0/kappa and drop all
@@ -132,22 +113,6 @@ class MomentumElement(TermMap):
                              for n in range(top + 1))
         return MomentumElement.collect(pairs)
 
-    def _factors(self, key):
-        b, d, lam = key
-        factors = []
-        for m in (1, 2, 3):
-            if b[m - 1] == 1:
-                factors.append(f"P{m}")
-            elif b[m - 1]:
-                factors.append(f"P{m}^{b[m-1]}")
-        if d == 1:
-            factors.append("P0")
-        elif d:
-            factors.append(f"P0^{d}")
-        if lam:
-            factors.append(f"Exp[{lam}]")
-        return factors
-
 
 class MomentumTensor(TensorSquare):
     """Element of the tensor square of the momentum algebra."""
@@ -157,27 +122,18 @@ class MomentumTensor(TensorSquare):
     ELEMENT = MomentumElement
     UNIT = (KEY_UNIT, KEY_UNIT)
 
-    def coproduct_left(self):
-        """(coproduct (x) id): a three-leg tensor as an IndexedMap keyed by
-        triples of monomial keys."""
-        return IndexedMap.collect(
-            ((l1, l2, r), c * c1) for (l, r), c in self.terms.items()
-            for (l1, l2), c1 in MomentumElement({l: ONE}).coproduct().terms.items())
-
-    def coproduct_right(self):
-        """(id (x) coproduct)."""
-        return IndexedMap.collect(
-            ((l, r1, r2), c * c1) for (l, r), c in self.terms.items()
-            for (r1, r2), c1 in MomentumElement({r: ONE}).coproduct().terms.items())
-
 
 MomentumElement.TENSOR = MomentumTensor
-# The coproduct images of P_1, P_2, P_3 (P_m (x) 1 + exp(-P_0/kappa) (x) P_m)
-# and of the primitive P_0.
+# P_1, P_2, P_3 and P_0.  Their coproducts P_m (x) 1 + exp(-P_0/kappa) (x) P_m
+# and the primitive P_0; their antipodes -exp(P_0/kappa) P_m and -P_0.
+MomentumElement.GENERATORS = tuple(MomentumElement.P(mu) for mu in (1, 2, 3, 0))
 MomentumElement.GENERATOR_IMAGES = tuple(
     MomentumTensor.outer(MomentumElement.P(m), MomentumElement.one())
     + MomentumTensor.outer(MomentumElement.exp_weight(-1), MomentumElement.P(m))
     for m in (1, 2, 3)) + (MomentumTensor.primitive(MomentumElement.P(0)),)
+MomentumElement.GENERATOR_ANTIPODES = tuple(
+    -(MomentumElement.exp_weight(1) * MomentumElement.P(m)) for m in (1, 2, 3)) + (
+    -MomentumElement.P(0),)
 
 
 # -- named constants ----------------------------------------------------------

@@ -8,19 +8,21 @@ equality.  Coefficients are ring values with `+`, `-`, `*` and
 forms.  Values are immutable; never mutate `terms` after
 construction.
 
-An algebra states only its monomial rules: `UNIT`, the key of its unit;
-`mono_mul(key1, key2)`, the normal form of one monomial times another as
-(key, ScalarValue) pairs; for a Hopf algebra, `TENSOR` (its
-`TensorSquare` class) and `GENERATOR_IMAGES`, the coproducts of its
-three spatial generators and its time generator; and `_factors(key)`,
-how one monomial renders.  A Hopf algebra's monomial key is (spatial
-exponents, time exponent, group-like label), normal ordered in that
-order (x^a x0^d W, or P^b P_0^d exp(lam P_0/kappa)), so its coproduct
-is the product of its generator images' powers and of g (x) g for its
-group-like factor g.  The core owns all that is built from them: the
-product, the sum of products `dot`, powers, and the coproduct, the
-algebra map fixed by the generator images.  A `TensorSquare` multiplies
-legwise through its element's
+An algebra states only its monomial rules: `UNIT`, the key of its unit,
+and `mono_mul(key1, key2)`, the normal form of one monomial times another
+as (key, ScalarValue) pairs; the core builds the product, the sum of
+products `dot` and powers.  A `HopfAlgebra` (the coordinates or the
+momenta) keys a monomial by (spatial exponents, time exponent, group-like
+label), normal ordered in that order (x^a x0^d W, or
+P^b P_0^d exp(lam P_0/kappa)), and states only data: its `GENERATORS`
+(three spatial, then time) with their coproducts `GENERATOR_IMAGES` and
+antipodes `GENERATOR_ANTIPODES`, its `TENSOR` square, the `LETTER` of its
+monomial text and the label hooks `LABEL_INVERSE`, `LABEL_STAR` and
+`LABEL_TEXT`.  From them the core builds the coproduct (g (x) g for a
+label g), the antipode and the star (antihomomorphisms: the images of a
+monomial's factors multiplied in reverse order), the counit (0 on the
+generators, 1 on every label) and the monomial text.  A `TensorSquare`
+multiplies legwise through its element's
 `mono_mul`.  Sums accumulate in place (sparse accumulation, Monagan and
 Pearce 2010): `collect` is how any term map is built from (key,
 coefficient) pairs, adding equal keys and dropping zeros, and `contract`
@@ -33,10 +35,10 @@ Everything the engine caches goes through `memo`, a least-recently-used
 table under the one bound `MEMO_SIZE`: the fixed objects (`f` and what is
 read off it, the Dirac operators, the gauge constructions, the star of a
 wave), each gauge construction's nested f-actions and, by `normal_form`,
-every closed normal form (a monomial product, a coproduct image, a
-binomial shift, momentum passing, the action), handed out as a tuple of
-(key, coefficient) pairs, each `share`d, so a distinct key or coefficient
-is stored once however many entries hold it.  The bound has room to
+every closed normal form (a monomial product, a coproduct, antipode or
+star image, a binomial shift, momentum passing, the action), handed out
+as a tuple of (key, coefficient) pairs, each `share`d, so a distinct key
+or coefficient is stored once however many entries hold it.  The bound has room to
 spare: the largest memo, `action._pass_momentum`, holds 4,394 entries
 after `verify --suite calculus --max-degree 3 --seed 42`.
 
@@ -132,6 +134,22 @@ def _coproduct_image(cls, key):
     image = factors[0] if factors else cls.TENSOR.one()
     for factor in factors[1:]:
         image = image * factor
+    return image.terms
+
+
+@normal_form
+def _reverse_image(cls, key, star):
+    """The star (`star` true) or the antipode of one monomial (x^a x0^d g)
+    of the algebra `cls`: the images of g, x0^d and the spatial powers
+    multiplied in that order, through `dot`, so that the traced `__mul__`
+    counts only products asked for from outside the normal form."""
+    spatial, d, g = key
+    gens = cls.GENERATORS if star else cls.GENERATOR_ANTIPODES
+    image = cls({(cls.UNIT[0], cls.UNIT[1],
+                  cls.LABEL_STAR(g) if star else cls.LABEL_INVERSE(g)): scalars.ONE})
+    for gen, e in zip(reversed(gens), (d, *reversed(spatial))):
+        for _ in range(e):
+            image = cls.dot(((image, gen),))
     return image.terms
 
 
@@ -294,14 +312,6 @@ class TermMap:
             acc = acc * self
         return acc
 
-    def coproduct(self):
-        """The algebra map fixed by the generator images: each monomial is
-        the ordered product of its generator powers, so its image is the
-        product of their images' powers (memoised per monomial)."""
-        cls = type(self)
-        return self.TENSOR(contract((c.terms, _coproduct_image(cls, key))
-                                    for key, c in self.terms.items()))
-
     def map_coeffs(self, fn):
         """Apply `fn` to every coefficient, dropping those that vanish."""
         out = {}
@@ -335,6 +345,7 @@ class TermMap:
     # -- rendering -------------------------------------------------------------
 
     def render(self):
+        """The terms' `_render_term(key, c)` texts, joined by ` + `."""
         if not self.terms:
             return "0"
         return " + ".join(self._render_term(key, self.terms[key])
@@ -342,6 +353,63 @@ class TermMap:
 
     def _render_order(self):
         return sorted(self.terms)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.render()}>"
+
+
+class HopfAlgebra(TermMap):
+    """The one owner of the Hopf-algebra key layout (spatial exponents, time
+    exponent, group-like label): a subclass states the data of the module
+    docstring, and the structure maps are built here from it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, spatial, d, label, coeff=None):
+        """coeff (default 1) * the monomial; zero for a zero coefficient."""
+        coeff = scalars.ONE if coeff is None else scalars.ScalarValue._coerce(coeff)
+        return cls() if coeff.is_zero() else cls({(tuple(spatial), d, label): coeff})
+
+    @staticmethod
+    def _is_label(key):
+        """Whether the monomial `key` is a group-like label alone."""
+        return not key[1] and not any(key[0])
+
+    def coproduct(self):
+        """The algebra map fixed by the generator images (memoised per
+        monomial)."""
+        cls = type(self)
+        return self.TENSOR(contract((c.terms, _coproduct_image(cls, key))
+                                    for key, c in self.terms.items()))
+
+    def antipode(self):
+        """S: each generator goes to its `GENERATOR_ANTIPODES` entry and each
+        label to `LABEL_INVERSE` of it, extended antimultiplicatively."""
+        cls = type(self)
+        return cls(contract((c.terms, _reverse_image(cls, key, False))
+                            for key, c in self.terms.items()))
+
+    def star(self):
+        """The antilinear antihomomorphism fixing the generators; each label
+        goes to `LABEL_STAR` of it."""
+        cls = type(self)
+        return cls(contract((c.conj().terms, _reverse_image(cls, key, True))
+                            for key, c in self.terms.items()))
+
+    def counit(self):
+        """The generators go to 0 and every group-like label to 1."""
+        return sum((c for key, c in self.terms.items() if self._is_label(key)),
+                   scalars.ZERO)
+
+    def _factors(self, key):
+        """Rendered factors of one monomial, empty for the unit."""
+        spatial, d, label = key
+        factors = [f"{self.LETTER}{m}" if e == 1 else f"{self.LETTER}{m}^{e}"
+                   for m, e in zip((1, 2, 3, 0), (*spatial, d)) if e]
+        if label != self.UNIT[2]:
+            factors.append(self.LABEL_TEXT(label))
+        return factors
 
     def _render_term(self, key, c):
         """`c * f1 * f2 ...` over the monomial's factors: a unit coefficient
@@ -355,18 +423,11 @@ class TermMap:
         mono = " * ".join(factors)
         return mono if c == scalars.ONE else f"{ctext} * {mono}"
 
-    def _factors(self, key):
-        """Rendered factors of one monomial, empty for the unit."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.render()}>"
-
 
 class TensorSquare(TermMap):
-    """Element of A (x) A for a term-map algebra A = `ELEMENT`, keyed by
-    pairs of A's monomial keys; a subclass sets `UNIT` to the pair of A's
-    unit keys."""
+    """Element of A (x) A for a Hopf algebra A = `ELEMENT`, keyed by pairs
+    of A's monomial keys; a subclass sets `UNIT` to the pair of A's unit
+    keys."""
 
     __slots__ = ()
 
@@ -398,6 +459,23 @@ class TensorSquare(TermMap):
         elem, one = self.ELEMENT, scalars.ONE
         return elem.dot((fn_left(elem({l: one})), elem({r: c}))
                         for (l, r), c in self.terms.items())
+
+    def left_counit(self):
+        """(counit (x) id), landing back in the algebra: a left leg that is
+        a label alone counts 1, any other 0."""
+        return self.ELEMENT.collect((r, c) for (l, r), c in self.terms.items()
+                                    if HopfAlgebra._is_label(l))
+
+    def coproduct_left(self):
+        """(coproduct (x) id): a three-leg tensor as an IndexedMap keyed by
+        triples of monomial keys."""
+        return IndexedMap.collect(((l1, l2, r), c * c1) for (l, r), c in self.terms.items()
+                                  for (l1, l2), c1 in _coproduct_image(self.ELEMENT, l))
+
+    def coproduct_right(self):
+        """(id (x) coproduct)."""
+        return IndexedMap.collect(((l, r1, r2), c * c1) for (l, r), c in self.terms.items()
+                                  for (r1, r2), c1 in _coproduct_image(self.ELEMENT, r))
 
     def _render_term(self, key, c):
         l, r = key

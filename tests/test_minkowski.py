@@ -149,13 +149,26 @@ def test_antipode_antihomomorphism_fuzz():
 
 
 def test_hopf_axioms_on_polynomials():
-    rng = random.Random(13)
-    for _ in range(25):
-        a = rand_position(rng, 2)
+    """The counit and antipode axioms on polynomials and on draws with plane
+    waves.  A wave is group-like, so its counit is 1."""
+    w = PositionElement.wave(PlaneWave.label(1))
+    assert w.counit() == ScalarValue.number(1)
+    assert w.coproduct().left_counit() == w
+    rng, wave_rng = random.Random(13), random.Random(13)
+    draws = [rand_position(rng, 2) for _ in range(25)]
+    draws += [rand_position(wave_rng, 2, waves=True) for _ in range(40)]
+    for a in draws:
         delta = a.coproduct()
         assert delta.left_counit() == a
         folded = delta.multiply_legs(lambda e: e.antipode())
         assert folded == PositionElement.scalar(a.counit())
+
+
+def test_coassociativity_with_waves():
+    rng = random.Random(29)
+    for _ in range(20):
+        delta = rand_position(rng, 2, waves=True).coproduct()
+        assert delta.coproduct_left() == delta.coproduct_right()
 
 
 def test_coproduct_is_algebra_map():

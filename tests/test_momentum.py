@@ -74,6 +74,17 @@ def test_coassociativity_on_f_entries():
         assert q.coproduct().coproduct_left() == q.coproduct().coproduct_right()
 
 
+def test_counit_axiom():
+    """(counit (x) id) coproduct = id on the generators, a group-like
+    exponential, the entries of f and random momenta: 40 cases."""
+    f = mom.f_matrix()
+    rng = random.Random(19)
+    probes = P + [MomentumElement.exp_weight(1)] + [f[i][j] for i in range(5) for j in range(5)]
+    probes += [rand_momentum(rng, 2) for _ in range(10)]
+    for q in probes:
+        assert q.coproduct().left_counit() == q
+
+
 def test_antipode_axiom():
     f = mom.f_matrix()
     probes = P + [f[i][j] for i in range(5) for j in range(5)]

@@ -409,3 +409,17 @@ def test_gauge_cli_round_trip(tmp_path):
     code, _, err = run_cli("gauge", "fstrength", "--config",
                            str(tmp_path / "missing.kmg"))
     assert code == 2 and "cannot read config" in err
+
+
+def test_gauge_cli_lifts_a_constant_phase(tmp_path):
+    """A scalar unitary is a constant phase, lifted to a position element as
+    a fixture's `A0 = 1` is; a scalar that is not a phase is not unitary."""
+    cfg = tmp_path / "live.kmg"
+    cfg.write_text("A1 = x0\nA4 = x1\ng = 2\n")
+    for phase in ("1", "-1", "1i"):
+        code, out, err = run_cli("gauge", "verify", "--config", str(cfg), "--unitary", phase)
+        assert (code, err) == (0, "") and "FAIL" not in out, phase
+    code, out, _ = run_cli("gauge", "transform", "--config", str(cfg), "--unitary", "1i")
+    assert code == 0 and out.splitlines()[1:2] == ["A1 = x0"]
+    code, out, err = run_cli("gauge", "verify", "--config", str(cfg), "--unitary", "2")
+    assert (code, out) == (2, "") and "gauge transformations need a unitary element" in err
