@@ -7,17 +7,19 @@ Dirac operator D = gamma^i del_i is a 4x4 matrix of momentum elements
 acting componentwise on spinors, 4-columns of position elements keyed by
 row, and the Clifford image of a basis one-form is the matrix operator
 
-    tau^i_c = gamma^j f^i_j
+    tau^i_c = gamma^j f^i_j,
 
-which makes [D, a] psi = del_i(a) (tau^i_c psi) an exact identity and
-satisfies the same bimodule law as tau^i.  (Contracting the gamma index
-against the metric-lowered slot instead breaks both; the residual of
-that variant is reported, not asserted.)
+and a one-form acts by Connes' map pi(omega) psi = omega_i (tau^i_c psi),
+`clifford_apply`.  [D, a] psi = pi(da) psi is then an exact identity, and
+pi(tau^i)(a psi) = pi(tau^i a) psi is the bimodule law of tau^i.
+(Contracting the gamma index against the metric-lowered slot instead
+breaks both; the residual of that variant is reported, not asserted.)
 """
 
 from __future__ import annotations
 
-from .action import act, act_derivative
+from .action import act
+from .forms import exterior_d
 from .minkowski import dot
 from .momentum import (
     METRIC5,
@@ -134,19 +136,20 @@ def clifford_image_published(i, rep):
     return _gamma_sum(rep, [row[i] for row in f_lowered()])
 
 
+def clifford_apply(omega, psi, rep):
+    """pi(omega) psi = sum_i omega_i (tau^i_c psi): the one-form
+    omega = omega_i tau^i acting on a spinor through the Clifford images."""
+    images = [(w, op_apply(clifford_image(i, rep), psi).terms) for i, w in omega.terms.items()]
+    return IndexedMap.collect(
+        (r, dot((w, image[r]) for w, image in images if r in image)) for r in range(DIM)
+    )
+
+
 def check_diagram(a, psi, rep):
-    """Residual of [D, a] psi = sum_i del_i(a) (tau^i_c psi)."""
+    """Residual of [D, a] psi = pi(da) psi."""
     d_op = build_dirac(rep)
     lhs = op_apply(d_op, psi.left_mul(a)) - op_apply(d_op, psi).left_mul(a)
-    images = []  # (del_i(a), tau^i_c psi) for each nonzero del_i(a)
-    for i in range(5):
-        da = act_derivative(i, a)
-        if not da.is_zero():
-            images.append((da, op_apply(clifford_image(i, rep), psi).terms))
-    rhs = IndexedMap.collect(
-        (r, dot((da, image[r]) for da, image in images if r in image)) for r in range(DIM)
-    )
-    return lhs - rhs
+    return lhs - clifford_apply(exterior_d(a), psi, rep)
 
 
 def check_dirac_square(rep):

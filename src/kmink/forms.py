@@ -1,17 +1,16 @@
-"""Bicovariant differential calculus: one-forms, two-forms, metric form.
+"""Bicovariant differential calculus: the bimodule of one- and two-forms.
 
 One-forms are kept in left-coefficient canonical form a_i tau^i over the
-five basis forms tau^0..tau^4; right coefficients exist only transiently,
-re-expanded through the f-action
+five basis forms tau^0..tau^4.  A right coefficient is re-expanded through
+the f-action
 
-    tau^i a = f^i_j(a) tau^j.
+    tau^i a = f^i_j(a) tau^j,
 
-The exterior derivative is d a = del_i(a) tau^i with d tau^i = 0, and the
-basis wedges are antisymmetric, so two-forms store only i < j components:
-a wedge or exterior derivative folds each (i, j) into its i < j slot, with
-its sign, in one dict.  The index sums sum_i a_i f^i_j(b) of `right_mul`
-and `wedge` are each one `minkowski.dot`, which expands each distinct
-monomial pair once.
+which only `OneForm.right_mul` and `TwoForm.right_mul` apply; the wedge,
+the star and the metric check are built on them.  d a = del_i(a) tau^i
+with d tau^i = 0.  The basis wedges are antisymmetric, so a two-form
+stores only i < j components, and `TwoForm.collect` folds (j, i) into
+-(i, j).  Each index sum of a `right_mul` is one `minkowski.dot`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .action import act_derivative, act_f
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5
 from .scalars import I, ScalarValue
-from .terms import IndexedMap, TermMap
+from .terms import IndexedMap, TermMap, memo
 
 
 class OneForm(IndexedMap):
@@ -41,30 +40,19 @@ class OneForm(IndexedMap):
         return OneForm.collect((j, dot((a, fb[j]) for a, fb in rows)) for j in range(5))
 
     def star(self):
-        """(a_i tau^i)* = f^i_j(a_i*) tau^j; the tau^i are hermitian."""
-        starred = [(i, a.star()) for i, a in self.terms.items()]
-        return OneForm.collect((j, fb) for i, astar in starred for j in range(5)
-                               if (fb := act_f(i, j, astar)).terms)
+        """(a_i tau^i)* = tau^i a_i*; the tau^i are hermitian."""
+        return sum((OneForm.basis(i).right_mul(a.star()) for i, a in self.terms.items()),
+                   OneForm())
 
     def wedge(self, other):
-        """(a_i tau^i) ^ (b_j tau^j) = a_i f^i_k(b_j) tau^k ^ tau^j; the
-        (k, j) and (j, k) sums fold into one with k < j."""
-        neg = {i: -a for i, a in self.terms.items()}
-        pairs = {}
-        for j, b in other.terms.items():
-            for i, a in self.terms.items():
-                for k in range(5):
-                    if k != j:
-                        key, left = ((k, j), a) if k < j else ((j, k), neg[i])
-                        pairs.setdefault(key, []).append((left, act_f(i, k, b)))
-        return TwoForm({key: v for key, p in pairs.items() if (v := dot(p)).terms})
+        """omega ^ (b_j tau^j) = (omega b_j) ^ tau^j."""
+        return TwoForm.collect(((k, j), c) for j, b in other.terms.items()
+                               for k, c in self.right_mul(b).terms.items())
 
     def exterior_d(self):
-        """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0; each
-        (j, i) folds into canonical j < i storage with its sign."""
-        folds = [(j, i, act_derivative(j, a)) for i, a in self.terms.items()
-                 for j in range(5) if j != i]
-        return TwoForm.collect(((j, i), da) if j < i else ((i, j), -da) for j, i, da in folds)
+        """d(a_i tau^i) = del_j(a_i) tau^j ^ tau^i, using d tau^i = 0."""
+        return TwoForm.collect(((j, i), act_derivative(j, a)) for i, a in self.terms.items()
+                               for j in range(5) if j != i)
 
     render = TermMap.render  # a ` + ` sum of terms, not a `key: value` list
 
@@ -72,11 +60,30 @@ class OneForm(IndexedMap):
         return f"({c.render()}) * tau[{i}]"
 
 
-class TwoForm(TermMap):
+class TwoForm(IndexedMap):
     """Strictly upper-triangular components over tau^i ^ tau^j, i < j:
     `terms` maps (i, j) to a nonzero PositionElement."""
 
     __slots__ = ()
+
+    @classmethod
+    def collect(cls, items):
+        """The sum of `((i, j), c)` pairs over tau^i ^ tau^j: a (j, i) pair
+        with j > i counts as ((i, j), -c), and an (i, i) pair drops."""
+        return super().collect(((i, j), c) if i < j else ((j, i), -c)
+                               for (i, j), c in items if i != j)
+
+    def right_mul(self, b):
+        """(F_kl tau^k ^ tau^l) b = F_kl f^k_m(f^l_n(b)) tau^m ^ tau^n over
+        the stored (k, l): one `dot` per m < n slot, which takes the (n, m)
+        term with a minus sign; each nested action is computed once."""
+        acts = memo(act_f)
+        signed = [(k, l, f, -f) for (k, l), f in self.terms.items()]
+        return TwoForm.collect(
+            ((m, n), dot(pair for k, l, f, neg in signed
+                         for pair in ((f, acts(k, m, acts(l, n, b))),
+                                      (neg, acts(k, n, acts(l, m, b))))))
+            for m in range(5) for n in range(m + 1, 5))
 
     def entries(self, raised=False):
         """{(i, j): F_ij} over both orders of each stored component, (j, i)
@@ -88,6 +95,8 @@ class TwoForm(TermMap):
                 f = -f
             out[i, j], out[j, i] = f, -f
         return out
+
+    render = TermMap.render  # a ` + ` sum of terms, not a `key: value` list
 
     def _render_term(self, key, c):
         i, j = key
@@ -101,16 +110,12 @@ def exterior_d(a):
 
 def check_metric_centrality(a):
     """Residual tensor of s^2 a - a s^2, commuting a through both legs,
-    keyed by (l, k).
-
-    (tau^i (x) tau^j) a = f^i_l(f^j_k(a)) tau^l (x) tau^k, so the (l, k)
-    component of s^2 a is sum_i METRIC5[i] f^i_l(f^i_k(a)).
-    """
-    inners = [[act_f(i, k, a) for i in range(5)] for k in range(5)]
+    keyed by (l, k): (tau^i (x) tau^i) a = f^i_l(f^i_k(a)) tau^l (x) tau^k,
+    two right products by tau^i, so s^2 a is sum_i METRIC5[i] f^i_l(f^i_k(a))."""
     s2_a = IndexedMap.collect(((l, k), outer.scale(METRIC5[i]))
-                              for l in range(5) for k in range(5)
-                              for i, inner in enumerate(inners[k])
-                              if inner.terms and (outer := act_f(i, l, inner)).terms)
+                              for i, tau_i in enumerate(map(OneForm.basis, range(5)))
+                              for k, inner in tau_i.right_mul(a).terms.items()
+                              for l, outer in tau_i.right_mul(inner).terms.items())
     a_s2 = IndexedMap.collect(((l, l), a.scale(METRIC5[l])) for l in range(5))
     return s2_a - a_s2
 

@@ -14,23 +14,22 @@ U del_k(U*).  The published form, with no charge in the quadratic term,
 is the strength of the same potentials at g = 1:
 `field_strength(GaugeConfig(cfg.A))`.
 
-Every index contraction of products -- the sum over k in F_ij, the
-divergence correction, the invariants C and C_pm, the covariance
-right-hand sides and the unitarity collapse -- is one `minkowski.dot`
-per output component, with factors shared by all terms (U F_kl, U
-nabla_m F^{mn}) multiplied once outside the index loops.  A strength is
-read through `TwoForm.entries`, both orders of its stored i < j
-components, lowered or raised, so each is multiplied by U or starred
-once.  Each construction keeps its nested f-actions f^i_k(f^j_l(X)) in
-a `terms.memo` of its own, which goes with it.  The mixed-word sums of the
-covariant derivative and its commutator identity are one
-`HeisenbergElement.dot` each.
+The gauge transformation and the F-covariance right-hand side are the
+bimodule products of `forms`: A_k tau^k -> (U A_k tau^k) U* - (i/g) U dU*
+and F -> (U F) U*.  Every other index contraction -- the sum over k in
+F_ij, the divergence, the invariants C and C_pm and the unitarity
+collapse -- is one `minkowski.dot` per output component, a factor shared
+by all terms (U nabla_m F^{mn}) multiplied once.  A strength is read
+through `TwoForm.entries`, both orders of its stored components, so each
+is starred once.  `divergence`, `invariants` and the star collapse keep
+their nested f-actions f^i_k(f^j_l(X)) in a `terms.memo` of their own.
+The mixed-word sums are one `HeisenbergElement.dot` each.
 """
 
 from __future__ import annotations
 
 from .action import HeisenbergElement, act_f, act_f_lowered, act_derivative
-from .forms import OneForm, TwoForm
+from .forms import OneForm, TwoForm, exterior_d
 from .minkowski import PositionElement, dot
 from .momentum import METRIC5, derivatives, f_matrix
 from .scalars import I, ONE, ScalarValue
@@ -152,7 +151,7 @@ def curvature_cross_check(cfg):
 
 @memo
 def gauge_transform(cfg, u):
-    """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*).  Memoised per (cfg, u)."""
+    """A_k tau^k -> (U A_k tau^k) U* - (i/g) U dU*.  Memoised per (cfg, u)."""
     _require_unitary(u)
     ustar = u.star()
     try:
@@ -160,24 +159,15 @@ def gauge_transform(cfg, u):
     except ValueError:
         raise ValueError("gauge transformations need an invertible charge, "
                          f"not g = {cfg.g.render()}") from None
-    u_a = [(j, u * a) for j, a in enumerate(cfg.A) if not a.is_zero()]
-    new_A = []
-    for k in range(5):
-        acc = dot((uaj, act_f(j, k, ustar)) for j, uaj in u_a)
-        new_A.append(acc - (u * act_derivative(k, ustar)).scale(I * inv_g))
-    return GaugeConfig(tuple(new_A), cfg.g)
+    moved = (OneForm.collect(enumerate(cfg.A)).left_mul(u).right_mul(ustar)
+             - exterior_d(ustar).left_mul(u).scale(I * inv_g))
+    return GaugeConfig(tuple(moved.terms.get(k, PositionElement.zero()) for k in range(5)), cfg.g)
 
 
 def check_f_covariance(cfg, u):
-    """Residual TwoForm of F~_ij = U F_kl f^k_i(f^l_j(U*))."""
-    f_new = field_strength(gauge_transform(cfg, u))
-    ustar = u.star()
-    u_f = field_strength(cfg).map_coeffs(lambda f: u * f).entries()
-    acts = memo(act_f)
-    rhs = TwoForm.collect(
-        ((i, j), dot((ufkl, acts(k, i, acts(l, j, ustar))) for (k, l), ufkl in u_f.items()))
-        for i in range(5) for j in range(i + 1, 5))
-    return f_new - rhs
+    """Residual TwoForm of F~ = (U F) U*: F~_ij = U F_kl f^k_i(f^l_j(U*))."""
+    moved = field_strength(gauge_transform(cfg, u))
+    return moved - field_strength(cfg).left_mul(u).right_mul(u.star())
 
 
 # -- covariant derivatives as mixed-word operators ------------------------------

@@ -413,9 +413,10 @@ class HopfAlgebra(TermMap):
 
     def _render_term(self, key, c):
         """`c * f1 * f2 ...` over the monomial's factors: a unit coefficient
-        is dropped and a coefficient that is a sum is parenthesized."""
+        is dropped and a coefficient of more than one term is
+        parenthesized (a lone complex number brings its own parentheses)."""
         ctext = c.render()
-        if "+" in ctext or " - " in ctext:
+        if len(c.terms) > 1:
             ctext = f"({ctext})"
         factors = self._factors(key)
         if not factors:

@@ -5,6 +5,7 @@ import random
 from kmink import dirac
 from kmink import momentum as mom
 from kmink.action import act_f
+from kmink.forms import OneForm
 from kmink.fuzz import rand_position, rand_spinor
 from kmink.minkowski import PositionElement
 from kmink.scalars import ScalarValue
@@ -98,6 +99,15 @@ def test_diagram_examples():
     assert dirac.check_diagram(PositionElement.one(), psi_const, REP_ZERO).is_zero()
     psi = IndexedMap({1: X[2]})
     assert dirac.check_diagram(X[1] * X[0], psi, REP_ZERO).is_zero()
+
+
+def test_clifford_apply_on_a_basis_form_is_its_clifford_image():
+    rng = random.Random(89)
+    for rep in ALL_REPS:
+        psi = rand_spinor(rng, 2)
+        for i in range(5):
+            got = dirac.clifford_apply(OneForm.basis(i), psi, rep)
+            assert got == dirac.op_apply(dirac.clifford_image(i, rep), psi)
 
 
 def _bimodule_residual(i, rep, a, psi):

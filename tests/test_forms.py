@@ -13,7 +13,7 @@ from kmink.forms import (
     exterior_d,
 )
 from kmink.fuzz import rand_oneform, rand_position
-from kmink.minkowski import PositionElement
+from kmink.minkowski import PositionElement, dot
 from kmink.momentum import METRIC5
 from kmink.scalars import ScalarValue
 
@@ -247,3 +247,64 @@ def test_form_sums_match_per_pair_references(rng):
     assert w.wedge(v) == reference_wedge(w, v)
     assert v.wedge(w) == reference_wedge(v, w)
     assert w.exterior_d() == reference_form_d(w)
+
+
+def grouped_wedge(w, v):
+    """The wedge as one `dot` per i < j slot: each a_i f^i_k(b_j) lands in
+    its (k, j) slot, or negated in the (j, k) one when j < k, and k = j
+    never arises."""
+    neg = {i: -a for i, a in w.terms.items()}
+    pairs = {}
+    for j, b in v.terms.items():
+        for i, a in w.terms.items():
+            for k in range(5):
+                if k != j:
+                    key, left = ((k, j), a) if k < j else ((j, k), neg[i])
+                    pairs.setdefault(key, []).append((left, act_f(i, k, b)))
+    return TwoForm({key: s for key, p in pairs.items() if (s := dot(p)).terms})
+
+
+def test_wedge_matches_the_grouped_slot_sums():
+    rng = random.Random(71)
+    for _ in range(20):
+        w, v = (rand_oneform(rng, 2).left_mul(rand_position(rng, 1, n_terms=2, waves=True))
+                for _side in range(2))
+        assert w.wedge(v) == grouped_wedge(w, v)
+
+
+# -- the two-form bimodule -------------------------------------------------------
+
+
+def rand_twoform(rng):
+    """A two-form over every i < j slot, each coefficient drawn with waves."""
+    return TwoForm.collect(((i, j), rand_position(rng, 1, n_terms=1, waves=True))
+                           for i in range(5) for j in range(i + 1, 5))
+
+
+def test_two_form_collect_folds_the_lower_triangle():
+    c = X[0] * X[1] + PositionElement.one()
+    for i in range(5):
+        for j in range(i + 1, 5):
+            assert TwoForm.collect([((j, i), c)]) == TwoForm.collect([((i, j), -c)])
+            assert TwoForm.collect([((j, i), c), ((i, j), c)]).is_zero()
+        assert TwoForm.collect([((i, i), c)]).is_zero()
+
+
+def test_two_form_bimodule_laws():
+    rng = random.Random(79)
+    for _ in range(4):
+        F = rand_twoform(rng)
+        a = rand_position(rng, 1, n_terms=2, waves=True)
+        b = rand_position(rng, 1, n_terms=2, waves=True)
+        assert F.right_mul(a).right_mul(b) == F.right_mul(a * b)
+        assert F.left_mul(a).right_mul(b) == F.right_mul(b).left_mul(a)
+
+
+def test_two_form_right_mul_passes_through_the_wedge():
+    # (omega ^ eta) b = omega ^ (eta b)
+    rng = random.Random(83)
+    for _ in range(4):
+        w, v = rand_oneform(rng, 1), wavy_oneform(rng)
+        b = rand_position(rng, 1, n_terms=2, waves=True)
+        assert w.wedge(v).right_mul(b) == w.wedge(v.right_mul(b))
+    assert TAU[1].wedge(TAU[2]).right_mul(X[3]) == TAU[1].wedge(TAU[2]).left_mul(X[3])

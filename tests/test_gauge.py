@@ -14,6 +14,7 @@ from kmink.fuzz import rand_position
 from kmink.minkowski import PlaneWave, PositionElement, dot
 from kmink.momentum import METRIC5
 from kmink.scalars import I, ONE, ScalarValue
+from kmink.suites import gauge_fixtures
 from kmink.terms import IndexedMap, memo
 
 from tests import apply_word
@@ -464,6 +465,26 @@ def reference_divergence_covariance_rhs(cfg, u):
         if not value.is_zero():
             out[k] = value
     return IndexedMap(out)
+
+
+def reference_gauge_transform(cfg, u):
+    """A_k -> U A_j f^j_k(U*) - (i/g) U del_k(U*), one product per (j, k)."""
+    ustar = u.star()
+    shift = I * cfg.g.inverse()
+    new_A = []
+    for k in range(5):
+        value = Z
+        for j in range(5):
+            value = value + u * cfg.A[j] * act_f(j, k, ustar)
+        new_A.append(value - (u * act_derivative(k, ustar)).scale(shift))
+    return gauge.GaugeConfig(tuple(new_A), cfg.g)
+
+
+@pytest.mark.parametrize("u", [U1, U2], ids=["U1", "U2"])
+@pytest.mark.parametrize("cfg", [*gauge_fixtures()[0], CFG_LIVE],
+                         ids=["fixture0", "fixture1", "fixture2", "live"])
+def test_gauge_transform_matches_the_index_formula(cfg, u):
+    assert gauge.gauge_transform.__wrapped__(cfg, u) == reference_gauge_transform(cfg, u)
 
 
 @pytest.mark.parametrize("u", [U1, U2], ids=["U1", "U2"])

@@ -172,6 +172,27 @@ def test_check_status_and_text_come_from_the_residual():
     assert (records[-1].status, records[-1].residual) == ("reported", "0 but reported")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("(3/2 - 1i) * x1", "(3/2 - 1i) * x1"),
+    ("(2 - 1i) * kappa * P2", "(2 - 1i) * kappa * P2"),
+    ("(1 + kappa) * x3", "(1 + kappa) * x3"),
+    ("(1+1i)*tau[0]", "((1 + 1i)) * tau[0]"),
+])
+def test_cli_parenthesizes_a_coefficient_once(text, want):
+    """A coefficient of one term is printed as it renders; a sum is wrapped
+    once by the algebra, and a one-form wraps each coefficient once more.
+    The printed text evaluates to itself."""
+    code, out, _ = run_cli("eval", text)
+    assert code == 0 and out.strip() == want
+    code, again, _ = run_cli("eval", want)
+    assert code == 0 and again == out
+
+
+def test_cli_mixed_word_wraps_its_coefficient_once():
+    code, out, _ = run_cli("eval", "(1+1i) * x1 * P1")
+    assert code == 0 and out.strip() == "((1 + 1i)) * [x1] * [P1]"
+
+
 def test_cli_parse_eval_and_errors():
     code, out, _ = run_cli("parse", "x0 * x1 - x1 * x0")
     assert code == 0 and out.strip() == "x0 * x1 - x1 * x0"
